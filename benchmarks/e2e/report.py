@@ -26,6 +26,28 @@ def nearest_rank(sorted_values: Sequence[float], fraction: float) -> float:
     return sorted_values[min(len(sorted_values) - 1, max(0, rank))]
 
 
+def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
+    """Q1, median and Q3 as ``statistics.quantiles(values, n=4)`` gives
+    them (the acceptance check's definition); every median the
+    benchmark reports is this Q2."""
+    if not values:
+        return math.nan, math.nan, math.nan
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+
+def median(values: Sequence[float]) -> float:
+    return quartiles(values)[1]
+
+
+def spread(values: Sequence[float]) -> float:
+    """Quartile distance over the median."""
+    q1, q2, q3 = quartiles(values)
+    return (q3 - q1) / abs(q2) if q2 else math.inf
+
+
 #: Percentiles considered for a timing's tail, highest first.
 TAIL_PERCENTILES = (0.999, 0.99, 0.9, 0.75)
 
@@ -35,7 +57,7 @@ def describe(values: Sequence[float]) -> str:
     beyond it, and the sample count."""
     ordered = sorted(values)
     n = len(ordered)
-    text = f"median {nearest_rank(ordered, 0.5):.6g}"
+    text = f"median {median(ordered):.6g}"
     for fraction in TAIL_PERCENTILES:
         if n - math.ceil(fraction * n) >= 10:
             text += f", p{fraction * 100:g} {nearest_rank(ordered, fraction):.6g}"
@@ -44,15 +66,6 @@ def describe(values: Sequence[float]) -> str:
     if n <= 12:
         text += ": " + " ".join(f"{v:.4g}" for v in values)
     return text
-
-
-def spread(values: Sequence[float]) -> float:
-    """Quartile distance over the median, as ``statistics.quantiles``
-    gives the quartiles (the acceptance check's definition)."""
-    if len(values) < 2:
-        return 0.0
-    q1, q2, q3 = statistics.quantiles(values, n=4)
-    return (q3 - q1) / q2 if q2 else math.inf
 
 
 # -- goldens --------------------------------------------------------------------
@@ -78,12 +91,21 @@ def normalize_eval_output(text: str) -> str:
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
 
-
-def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, q2, q3 = statistics.quantiles(values, n=4)
-    return q1, q2, q3
+#: End-to-end metrics that only serve-mixed has. BENCHMARK.json cannot
+#: carry them: the result line of an untraced run reports exactly its
+#: ``end_to_end`` metrics, on every workload. So an untraced serve-mixed
+#: run prints them before the result line and ``--record`` stores them
+#: beside it, and ``compare`` judges them with these bounds (set from
+#: the spread of ten runs; see README.md).
+WORKLOAD_METRICS: Dict[str, Tuple[dict, ...]] = {
+    "serve-mixed": (
+        {"name": "req_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+        {"name": "hot_ms.p50", "unit": "ms", "better": "lower", "bound": 0.25},
+        {"name": "hot_ms.p99", "unit": "ms", "better": "lower", "bound": 0.1},
+        {"name": "cold_ms.p50", "unit": "ms", "better": "lower", "bound": 0.25},
+        {"name": "cold_ms.p90", "unit": "ms", "better": "lower", "bound": 0.25},
+    ),
+}
 
 
 def judge(
@@ -108,18 +130,17 @@ def judge(
     p_q1, p_med, p_q3 = quartiles(parent)
     c_q1, c_med, c_q3 = quartiles(change)
     gap = sign * (c_med - p_med)
-    p_spread = (p_q3 - p_q1) / abs(p_med) if p_med else math.inf
-    all_better = (
-        max(change) < min(parent) if better == "lower"
-        else min(change) > max(parent)
-    )
     if len(parent) < MIN_PAIRS:
         verdict = "too few pairs"
     elif wins >= WIN_SHARE * len(parent) and gap > p_q3 - p_q1:
         verdict = "gain"
     elif bound is None:
         verdict = "no gain"
-    elif p_spread > bound:
+    elif spread(parent) > bound:
+        all_better = (
+            max(change) < min(parent) if better == "lower"
+            else min(change) > max(parent)
+        )
         verdict = "better" if all_better else "unresolved"
     elif -gap > bound * abs(p_med):
         verdict = "regression"
@@ -136,34 +157,57 @@ def judge(
 
 def pair_records(
     parent: Iterable[dict], change: Iterable[dict]
-) -> Dict[str, List[Tuple[dict, dict]]]:
-    """Untraced records of the same (workload, seed) on both sides, by
-    workload, in seed order."""
+) -> Dict[str, List[Tuple[dict, Optional[dict]]]]:
+    """Each untraced parent run with the change's run of the same
+    (workload, seed), or None if the change has none; by workload, in
+    seed order. A run is the result object with its workload's own
+    metrics merged into ``metrics``."""
     def index(records):
         out = {}
         for rec in records:
             if not rec.get("trace"):
-                out[(rec["workload"], rec["seed"])] = rec["result"]
+                result = dict(rec["result"])
+                result["metrics"] = {
+                    **result["metrics"], **rec.get("workload_metrics", {})
+                }
+                out[(rec["workload"], rec["seed"])] = result
         return out
 
     p, c = index(parent), index(change)
-    pairs: Dict[str, List[Tuple[dict, dict]]] = {}
-    for key in sorted(set(p) & set(c)):
-        pairs.setdefault(key[0], []).append((p[key], c[key]))
+    pairs: Dict[str, List[Tuple[dict, Optional[dict]]]] = {}
+    for key in sorted(p):
+        pairs.setdefault(key[0], []).append((p[key], c.get(key)))
     return pairs
+
+
+def more_failures(pairs: List[Tuple[dict, Optional[dict]]]) -> bool:
+    """A change run is missing, not correct, or failed more operations
+    than its parent run."""
+    return any(
+        c is None or not c["correct"] or c["failed"] > p["failed"]
+        for p, c in pairs
+    )
 
 
 def compare_rows(
     parent: Iterable[dict], change: Iterable[dict], benchmark: dict
 ) -> List[Dict[str, object]]:
-    """One row per workload x end-to-end metric."""
+    """One row per workload x end-to-end metric. Where the change fails
+    more than the parent, every row of the workload reads ``failures``:
+    a faster run that does less, or wrong, work is no gain."""
     rows = []
     for workload, pairs in pair_records(parent, change).items():
-        for metric in benchmark["end_to_end"]:
+        failures = more_failures(pairs)
+        complete = [(a, b) for a, b in pairs if b is not None]
+        metrics = list(benchmark["end_to_end"])
+        metrics += WORKLOAD_METRICS.get(workload, ())
+        for metric in metrics:
             name = metric["name"]
-            p = [a["metrics"][name]["value"] for a, _ in pairs]
-            c = [b["metrics"][name]["value"] for _, b in pairs]
+            p = [a["metrics"][name]["value"] for a, _ in complete]
+            c = [b["metrics"][name]["value"] for _, b in complete]
             row = judge(p, c, metric["better"], metric["bound"])
+            if failures:
+                row["verdict"] = "failures"
             row.update(workload=workload, metric=name, unit=metric["unit"])
             rows.append(row)
     return rows
@@ -283,11 +327,6 @@ LAYER_METRICS: Tuple[Tuple[str, str, tuple], ...] = (
 ) + (
     ("serve.measure.p50_ms", "ms", ("serve", "measure.p50_ms")),
     ("serve.measure.p99_ms", "ms", ("serve", "measure.p99_ms")),
-    ("serve.client.req_per_s", "1/s", ("serve", "client.req_per_s")),
-    ("serve.client.hot_ms.p50", "ms", ("serve", "client.hot_ms.p50")),
-    ("serve.client.hot_ms.p99", "ms", ("serve", "client.hot_ms.p99")),
-    ("serve.client.cold_ms.p50", "ms", ("serve", "client.cold_ms.p50")),
-    ("serve.client.cold_ms.p90", "ms", ("serve", "client.cold_ms.p90")),
     ("trace.overhead", "ratio", ("run", "overhead")),
     ("trace.coverage", "ratio", ("run", "coverage")),
     ("trace.processes", "count", ("run", "processes")),

@@ -15,7 +15,7 @@ Run from the repository root::
     python3 benchmarks/e2e/run.py --workload sweep-cold --trace 1
     python3 benchmarks/e2e/run.py --regen-golden
     python3 benchmarks/e2e/run.py compare parent.jsonl change.jsonl
-    python3 benchmarks/e2e/run.py history --sets 2 --runs 10
+    python3 benchmarks/e2e/run.py history
 
 The last line of a run's standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``. See README.md for
@@ -449,7 +449,8 @@ def sweep_rep(
     ]
     run = run_program(args, work, child_env(trace_dir), "sweep")
     same = run.ok and all(
-        (work / name).read_text(encoding="utf-8") == golden[part]
+        (work / name).is_file()
+        and (work / name).read_text(encoding="utf-8") == golden[part]
         for name, part in (("grid.csv", "csv"), ("report.txt", "report"))
     )
     run.ok = tally.record(same, "sweep CSV/report differ from the golden")
@@ -511,6 +512,10 @@ def serve_plan(seed: int, blocks: int) -> List[List[str]]:
     return plan
 
 
+class ServerStartError(RuntimeError):
+    """``repro serve`` exited, or timed out, before its ready file appeared."""
+
+
 class Server:
     """One ``repro serve --fast`` process on a unix socket in ``work``."""
 
@@ -526,17 +531,17 @@ class Server:
             child_env(trace_dir),
             "serve",
         )
+        # Relative: unix socket paths are limited to ~108 bytes.
+        self.socket = os.path.relpath(self.work / "s.sock")
+        self.rss_mb = 0.0
         ready = self.work / "ready"
         deadline = start + 60.0
         while not ready.exists():
             if self.proc.poll() is not None or time.perf_counter() > deadline:
                 self.stop()
-                raise RuntimeError("repro serve never became ready")
+                raise ServerStartError("repro serve never became ready")
             time.sleep(0.002)
         self.ready_s = time.perf_counter() - start
-        # Relative: unix socket paths are limited to ~108 bytes.
-        self.socket = os.path.relpath(self.work / "s.sock")
-        self.rss_mb = 0.0
 
     def client(self):
         from repro.serve.client import ServeClient
@@ -567,13 +572,34 @@ class ServeSession:
     pid: int
 
 
+def start_server(
+    run_dir: Path, tally: Tally, trace_dir: Optional[Path] = None
+) -> Optional[Server]:
+    """A ready server, or None (counted as a failure) if it never got
+    ready."""
+    try:
+        server = Server(run_dir, trace_dir)
+    except ServerStartError as exc:
+        tally.record(False, str(exc))
+        return None
+    return server
+
+
 def serve_session(
-    server: Server, plan: List[List[str]], expected: dict, tally: Tally
-) -> ServeSession:
-    """Warm the hot cells (untimed), then run the plan block by block
-    with ``SERVE_CLIENTS`` closed-loop clients."""
+    run_dir: Path,
+    plan: List[List[str]],
+    expected: dict,
+    tally: Tally,
+    trace_dir: Optional[Path] = None,
+) -> Optional[ServeSession]:
+    """Start a server, warm the hot cells (untimed), then run the plan
+    block by block with ``SERVE_CLIENTS`` closed-loop clients. None if
+    the server never got ready."""
     from repro.serve.client import ServeError
 
+    server = start_server(run_dir, tally, trace_dir)
+    if server is None:
+        return None
     cells = serve_cells()
     configs = {cid: serve_config(d, b) for cid, (d, b, _) in cells.items()}
     benches = list(SERVE_BENCHES)
@@ -649,40 +675,49 @@ def serve_session(
             walls.append(time.perf_counter() - start)
             for cell_id, ok in outcomes:
                 tally.record(ok, f"response for {cell_id} differs from the golden")
-        stats = clients[0].stats()
+        try:
+            stats = clients[0].stats()
+        except (ServeError, OSError) as exc:
+            tally.record(False, f"stats: {exc}")
+            stats = {}
     finally:
         for client in clients:
             client.close()
         server.stop()
+    tally.record(server.proc.returncode == 0, "serve exit status")
     return ServeSession(
         walls, hot_ms, cold_ms, stats, server.rss_mb, server.ready_s, server.proc.pid
     )
 
 
 def serve_layer_values(session: ServeSession) -> Dict[str, float]:
-    server = session.stats["server"]
-    measure = server["endpoints"].get("measure", {})
-    hot, cold = sorted(session.hot_ms), sorted(session.cold_ms)
-    out = {key: server["counters"].get(key, 0) for key in (
+    """The server's own counters and latencies, from its ``stats`` op."""
+    server = session.stats.get("server", {})
+    measure = server.get("endpoints", {}).get("measure", {})
+    counters = server.get("counters", {})
+    out = {key: counters.get(key, 0) for key in (
         "inline_hits", "single_flight_hits", "cells_evaluated", "batches", "errors"
     )}
     out.update({
         "measure.p50_ms": measure.get("p50_ms", 0.0),
         "measure.p99_ms": measure.get("p99_ms", 0.0),
-        "client.req_per_s": (len(hot) + len(cold)) / sum(session.block_walls),
-        "client.hot_ms.p50": report.nearest_rank(hot, 0.50),
-        "client.hot_ms.p99": report.nearest_rank(hot, 0.99),
-        "client.cold_ms.p50": report.nearest_rank(cold, 0.50),
-        "client.cold_ms.p90": report.nearest_rank(cold, 0.90),
     })
     return out
 
 
+def serve_client_values(session: ServeSession) -> Dict[str, float]:
+    """serve-mixed's own end-to-end metrics, as its clients saw them."""
+    hot, cold = sorted(session.hot_ms), sorted(session.cold_ms)
+    return {
+        "req_per_s": (len(hot) + len(cold)) / sum(session.block_walls),
+        "hot_ms.p50": report.median(hot),
+        "hot_ms.p99": report.nearest_rank(hot, 0.99),
+        "cold_ms.p50": report.median(cold),
+        "cold_ms.p90": report.nearest_rank(cold, 0.90),
+    }
+
+
 # -- running a workload ----------------------------------------------------------------------
-
-
-def median(values: List[float]) -> float:
-    return report.nearest_rank(sorted(values), 0.5)
 
 
 def summarize_trace(
@@ -705,28 +740,42 @@ def summarize_trace(
     return values
 
 
-def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
+def run_workload(
+    name: str, seed: int, seconds: float, trace: bool
+) -> Tuple[dict, Dict[str, dict]]:
+    """The result object, and the workload's own end-to-end metrics
+    (:data:`report.WORKLOAD_METRICS`, untraced runs only). A metric a
+    failed run could not measure reads 0."""
     tally = Tally()
     run_dir = new_dir(WORK, f"run-{name}-")
     lines: List[str] = []
     try:
         if name == "serve-mixed":
-            metrics = run_serve(seed, seconds, trace, run_dir, tally, lines)
+            values = run_serve(seed, seconds, trace, run_dir, tally, lines)
         else:
-            metrics = run_batch(name, seed, seconds, trace, run_dir, tally, lines)
+            values = run_batch(name, seed, seconds, trace, run_dir, tally, lines)
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
-    units = report.layer_units() if trace else END_TO_END_UNITS
+    if trace:
+        units, own_units = report.layer_units(), {}
+    else:
+        units = END_TO_END_UNITS
+        own_units = {m["name"]: m["unit"] for m in report.WORKLOAD_METRICS.get(name, ())}
     for line in lines:
         print(line)
-    for key, unit in units.items():
-        print(f"{key:42s} {metrics[key]:>14.6g} {unit}")
-    return {
+    for key, unit in {**units, **own_units}.items():
+        print(f"{key:42s} {values.get(key, 0.0):>14.6g} {unit}")
+
+    def metrics(table: Dict[str, str]) -> Dict[str, dict]:
+        return {k: {"value": values.get(k, 0.0), "unit": u} for k, u in table.items()}
+
+    result = {
         "correct": tally.failed == 0,
         "attempted": tally.attempted,
         "failed": tally.failed,
-        "metrics": {k: {"value": metrics[k], "unit": u} for k, u in units.items()},
+        "metrics": metrics(units),
     }
+    return result, metrics(own_units)
 
 
 def run_batch(
@@ -744,9 +793,9 @@ def run_batch(
         lines.append(f"wall_s: {report.describe(walls)}")
         lines.append(f"setup_s: {report.describe(setup)}")
         return {
-            "wall_s": median(walls),
-            "setup_s": median(setup),
-            "peak_rss_mb": median([r.rss_mb for r in runs]),
+            "wall_s": report.median(walls),
+            "setup_s": report.median(setup),
+            "peak_rss_mb": report.median([r.rss_mb for r in runs]),
         }
     # Back-to-back (plain, traced) pairs: the host's slow phases last far
     # longer than a pair, so the per-pair ratio cancels them.
@@ -760,7 +809,7 @@ def run_batch(
         ratios.append(run.wall / plain.wall)
         traced.append(summarize_trace(trace_dir, run.pid, name, {}, 0.0))
     lines.append(f"traced / untraced wall: {report.describe(ratios)}")
-    values = {k: median([t[k] for t in traced]) for k in traced[0]}
+    values = {k: report.median([t[k] for t in traced]) for k in traced[0]}
     values["trace.overhead"] = statistics.mean(ratios) - 1.0
     return values
 
@@ -782,27 +831,33 @@ def run_serve(
     if not trace:
         ready = []
         for _ in range(SETUP_SPAWNS - 1):
-            server = Server(run_dir)
-            ready.append(server.ready_s)
-            server.stop()
-            tally.record(server.proc.returncode == 0, "serve exit status")
-        server = Server(run_dir)
-        session = serve_session(server, plan, golden, tally)
-        tally.record(server.proc.returncode == 0, "serve exit status")
+            server = start_server(run_dir, tally)
+            if server is not None:
+                ready.append(server.ready_s)
+                server.stop()
+                tally.record(server.proc.returncode == 0, "serve exit status")
+        session = serve_session(run_dir, plan, golden, tally)
+        if session is None:
+            return {"setup_s": report.median(ready)} if ready else {}
         ready.append(session.ready_s)
         lines.append(f"wall_s per block: {report.describe(session.block_walls)}")
         lines.append(f"setup_s: {report.describe(ready)}")
         lines.append(f"hot_ms: {report.describe(session.hot_ms)}")
         lines.append(f"cold_ms: {report.describe(session.cold_ms)}")
         return {
-            "wall_s": median(session.block_walls),
-            "setup_s": median(ready),
+            "wall_s": report.median(session.block_walls),
+            "setup_s": report.median(ready),
             "peak_rss_mb": session.rss_mb,
+            **serve_client_values(session),
         }
-    plain = serve_session(Server(run_dir), plan, golden, tally)
+    plain = serve_session(run_dir, plan, golden, tally)
     trace_dir = new_dir(run_dir, "trace-")
-    traced = serve_session(Server(run_dir, trace_dir), plan, golden, tally)
-    overhead = median(traced.block_walls) / median(plain.block_walls) - 1.0
+    traced = serve_session(run_dir, plan, golden, tally, trace_dir)
+    if plain is None or traced is None:
+        return {}
+    overhead = (
+        report.median(traced.block_walls) / report.median(plain.block_walls) - 1.0
+    )
     lines.append(f"untraced wall_s per block: {report.describe(plain.block_walls)}")
     lines.append(f"traced wall_s per block: {report.describe(traced.block_walls)}")
     return summarize_trace(
@@ -837,60 +892,75 @@ def cmd_compare(argv: List[str]) -> int:
     return 0
 
 
+#: ``history`` runs this many sets of this many seeds per workload.
+HISTORY_SETS = 2
+HISTORY_RUNS = 10
+
+
 def cmd_history(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="run.py history",
         description=(
-            "Run every workload --runs times per set (each run a fresh "
-            "process with its own seed), plus one traced run each, and "
-            "append the record to history.json. Refuses a dirty tree."
+            f"Run every workload {HISTORY_RUNS} times in each of "
+            f"{HISTORY_SETS} sets (each run a fresh process with its own "
+            "seed, at BENCHMARK.json's run_seconds), plus one traced run "
+            "each, and append the record to history.json. Refuses a dirty "
+            "tree."
         ),
     )
-    parser.add_argument("--sets", type=int, default=2)
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=None)
-    args = parser.parse_args(argv)
+    parser.parse_args(argv)
     sys.path.insert(0, str(HERE.parent))
     from _meta import stamp, write_record
 
     stamp({}, strict=True)  # fail before spending the run time
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or benchmark["run_seconds"]
+    seconds = benchmark["run_seconds"]
+    record_file = new_dir(WORK, "history-") / "runs.jsonl"
 
     def one(workload: str, seed: int, trace: int) -> dict:
-        out = subprocess.run(
+        subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--workload",
              workload, "--seed", str(seed), "--seconds", str(seconds),
-             "--trace", str(trace)],
-            cwd=ROOT, capture_output=True, text=True, check=True,
+             "--trace", str(trace), "--record", str(record_file)],
+            cwd=ROOT, capture_output=True, check=True,
         )
-        result = json.loads(out.stdout.strip().splitlines()[-1])
-        print(f"{workload} seed={seed} trace={trace}: "
-              + json.dumps({k: v["value"] for k, v in result["metrics"].items()
-                            if not trace}), flush=True)
-        return result
+        run = read_records(record_file)[-1]
+        if not trace:
+            values = {**run["result"]["metrics"], **run["workload_metrics"]}
+            print(f"{workload} seed={seed}: "
+                  + json.dumps({k: v["value"] for k, v in values.items()}),
+                  flush=True)
+        return run
 
     sets = []
-    for s in range(args.sets):
-        seeds = [s * args.runs + i + 1 for i in range(args.runs)]
+    for s in range(HISTORY_SETS):
+        seeds = [s * HISTORY_RUNS + i + 1 for i in range(HISTORY_RUNS)]
         runs: Dict[str, List[dict]] = {w: [] for w in WORKLOADS}
         for seed in seeds:
             for workload in WORKLOADS:
                 runs[workload].append(one(workload, seed, 0))
         sets.append({"seeds": seeds, "runs": runs})
     traced = {w: one(w, 7, 1) for w in WORKLOADS}
+    shutil.rmtree(record_file.parent)
+
     def per_set(workload: str, metric: str) -> List[dict]:
         out = []
         for st in sets:
-            values = [r["metrics"][metric]["value"] for r in st["runs"][workload]]
+            values = [
+                {**r["result"]["metrics"], **r["workload_metrics"]}[metric]["value"]
+                for r in st["runs"][workload]
+            ]
             out.append({
-                "median": statistics.median(values),
+                "median": report.median(values),
                 "spread": report.spread(values),
             })
         return out
 
     summary = {
-        w: {m["name"]: per_set(w, m["name"]) for m in benchmark["end_to_end"]}
+        w: {
+            m["name"]: per_set(w, m["name"])
+            for m in benchmark["end_to_end"] + list(report.WORKLOAD_METRICS.get(w, ()))
+        }
         for w in WORKLOADS
     }
     record = {
@@ -923,7 +993,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument(
         "--record", type=Path,
-        help="also append {workload, seed, trace, result} to this JSONL file",
+        help=(
+            "also append {workload, seed, trace, result, workload_metrics} "
+            "to this JSONL file"
+        ),
     )
     parser.add_argument(
         "--regen-golden", action="store_true",
@@ -942,12 +1015,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         regen_golden()
         return 0
     _use_src()
-    result = run_workload(args.workload, args.seed, args.seconds, bool(args.trace))
+    result, workload_metrics = run_workload(
+        args.workload, args.seed, args.seconds, bool(args.trace)
+    )
     if args.record:
         with open(args.record, "a", encoding="utf-8") as fh:
             fh.write(json.dumps({
                 "workload": args.workload, "seed": args.seed,
                 "trace": args.trace, "result": result,
+                "workload_metrics": workload_metrics,
             }) + "\n")
     print(json.dumps(result))
     return 0

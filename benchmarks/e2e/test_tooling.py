@@ -10,6 +10,7 @@ import json
 import os
 import random
 import re
+import statistics
 import sys
 import types
 from pathlib import Path
@@ -55,8 +56,19 @@ def test_nearest_rank_agrees_with_repro_stats():
 def test_describe_reports_the_highest_percentile_with_ten_beyond():
     assert report.describe([3.0, 1.0, 2.0]) == "median 2 (n=3): 3 1 2"
     text = report.describe([float(i) for i in range(1, 1001)])
-    assert text == "median 500, p99 990 (n=1000)"
+    assert text == "median 500.5, p99 990 (n=1000)"
     assert "p90" in report.describe([float(i) for i in range(100)])
+
+
+def test_one_median_everywhere():
+    rng = random.Random(3)
+    for n in (1, 2, 3, 4, 9, 10):
+        values = [rng.random() for _ in range(n)]
+        q1, q2, q3 = report.quartiles(values)
+        assert report.median(values) == q2 == statistics.median(values)
+        assert report.spread(values) == (q3 - q1) / q2
+        if n >= 2:
+            assert (q1, q2, q3) == tuple(statistics.quantiles(values, n=4))
 
 
 def test_golden_normalizer_strips_only_volatile_lines():
@@ -112,24 +124,71 @@ def test_compare_rule_on_synthetic_samples():
     assert report.judge(parent, parent, "lower", 0.1)["wins"] == 0
 
 
-def test_compare_rows_pair_runs_by_workload_and_seed():
+def _records(workload, scale, failed=lambda seed: 0):
+    """Ten untraced run records whose every metric is ``scale`` times a
+    seed-dependent value; ``failed(seed)`` operations failed."""
     benchmark = json.loads((run.ROOT / "BENCHMARK.json").read_text())
 
-    def records(scale):
-        out = []
-        for seed in range(1, 11):
-            metrics = {
-                m["name"]: {"value": scale * (10 + seed % 3), "unit": m["unit"]}
-                for m in benchmark["end_to_end"]
-            }
-            out.append({"workload": "eval-cold", "seed": seed, "trace": 0,
-                        "result": {"metrics": metrics}})
-        return out
+    def metrics(table):
+        return {
+            m["name"]: {"value": scale * (10 + 0.1 * (seed % 3)), "unit": m["unit"]}
+            for m in table
+        }
 
-    rows = report.compare_rows(records(1.0), records(0.5), benchmark)
+    out = []
+    for seed in range(1, 11):
+        out.append({
+            "workload": workload, "seed": seed, "trace": 0,
+            "result": {
+                "correct": failed(seed) == 0, "attempted": 20,
+                "failed": failed(seed), "metrics": metrics(benchmark["end_to_end"]),
+            },
+            "workload_metrics": metrics(report.WORKLOAD_METRICS.get(workload, ())),
+        })
+    return out
+
+
+def test_compare_rows_pair_runs_by_workload_and_seed():
+    benchmark = json.loads((run.ROOT / "BENCHMARK.json").read_text())
+    rows = report.compare_rows(
+        _records("eval-cold", 1.0), _records("eval-cold", 0.5), benchmark
+    )
     assert [r["metric"] for r in rows] == [m["name"] for m in benchmark["end_to_end"]]
+    # peak_rss_mb is lower-is-better too; halving every metric wins all.
     assert {r["verdict"] for r in rows} == {"gain"}
     assert "eval-cold" in report.format_rows(rows)
+
+
+def test_compare_judges_serve_mixed_client_metrics():
+    benchmark = json.loads((run.ROOT / "BENCHMARK.json").read_text())
+    parent = _records("serve-mixed", 1.0)
+    change = _records("serve-mixed", 1.5)
+    rows = {r["metric"]: r for r in report.compare_rows(parent, change, benchmark)}
+    own = [m["name"] for m in report.WORKLOAD_METRICS["serve-mixed"]]
+    assert set(rows) == {m["name"] for m in benchmark["end_to_end"]} | set(own)
+    assert rows["hot_ms.p99"]["verdict"] == "regression"
+    assert rows["cold_ms.p90"]["verdict"] == "regression"
+    assert rows["req_per_s"]["verdict"] == "gain"  # higher is better
+
+
+def test_compare_reports_failures_instead_of_a_gain():
+    benchmark = json.loads((run.ROOT / "BENCHMARK.json").read_text())
+    parent = _records("eval-cold", 1.0)
+
+    def verdicts(change):
+        return {r["verdict"] for r in report.compare_rows(parent, change, benchmark)}
+
+    # Faster, but one run's output differed from the golden.
+    assert verdicts(_records("eval-cold", 0.5, lambda s: s == 4)) == {"failures"}
+    # A change run that printed no result at all.
+    assert verdicts(_records("eval-cold", 0.5)[:-1]) == {"failures"}
+    # Both sides fail alike: the change fails no more than its parent,
+    # but its runs are still not correct.
+    both = lambda s: 1  # noqa: E731
+    assert verdicts(_records("eval-cold", 0.5, both)) == {"failures"}
+    # A parent that failed does not block a change that fails less.
+    parent = _records("eval-cold", 1.0, both)
+    assert verdicts(_records("eval-cold", 0.5)) == {"gain"}
 
 
 def test_tracer_self_time_is_total_minus_children_across_a_fork(tmp_path):
@@ -280,3 +339,30 @@ def test_benchmark_json_matches_the_benchmark_and_the_limits():
         report.layer_units()
     )
     assert len(json.dumps(benchmark)) <= 64 * 1024
+    # Metrics of one workload only live in the benchmark, not in
+    # BENCHMARK.json, whose end-to-end metrics every workload reports.
+    assert set(report.WORKLOAD_METRICS) <= set(run.WORKLOADS)
+    for metrics in report.WORKLOAD_METRICS.values():
+        for metric in metrics:
+            assert set(metric) == {"name", "unit", "better", "bound"}
+            assert NAME.match(metric["name"]) and UNIT.match(metric["unit"])
+            assert metric["name"] not in names
+            assert metric["better"] in ("lower", "higher")
+            assert 0 < metric["bound"] <= 0.25
+
+
+def test_a_server_that_never_gets_ready_still_gives_a_result(tmp_path, monkeypatch):
+    def never_ready(*args, **kwargs):
+        raise run.ServerStartError("repro serve never became ready")
+
+    monkeypatch.setattr(run, "Server", never_ready)
+    monkeypatch.setattr(run, "WORK", tmp_path)
+    for trace, units in ((False, run.END_TO_END_UNITS), (True, report.layer_units())):
+        result, own = run.run_workload("serve-mixed", 7, 6.0, trace)
+        assert result["correct"] is False
+        assert result["failed"] == result["attempted"] > 0
+        assert set(result["metrics"]) == set(units)
+        assert set(own) == (
+            set() if trace else {m["name"] for m in report.WORKLOAD_METRICS["serve-mixed"]}
+        )
+        json.dumps(result, allow_nan=False)
