@@ -1,26 +1,24 @@
 """Build-engine benchmarks: staged sweeps, delta ladders, prewarmed grids.
 
-Three benchmarks, all recording to ``BENCH_build.json`` at the repo root:
+Three benchmarks, all recording absolute seconds to ``BENCH_build.json``
+at the repo root (track them against the record history):
 
 - ``staged_variant_build``: the defense sweep the staged engine exists
-  for — N hardening configurations at one shared optimization budget.
-  The monolithic engine re-runs ICP + inlining per variant; the staged
-  engine runs them once per distinct optimization prefix and stamps each
-  defense onto a copy-on-write clone. Measured three ways (monolithic,
-  staged against an empty cache, staged against the populated cache).
-- ``prefix_delta_ladder``: the budget ladder the incremental engine
-  exists for — one profile, many budgets in the fine-grained tuning
-  regime. The cold arm builds every prefix through the full pass stack;
-  the delta arm derives each budget from the shared decision basis,
-  re-transforming only touched functions. Timed over ``warm_prefix``
-  (prefix derivation only — the hardening stamp is identical in both
-  arms), with the bar on the *added* budgets (everything after the
-  first, which pays basis construction in both arms' place).
-- ``prefix_prewarm_sweep``: a cold fast-grid sweep with this engine's
-  full machinery — parallel prefix prewarming over delta-derived
-  budget slices, then a parallel measurement fan-out over the warmed
-  cache — versus the pre-incremental serial sweep that builds every
-  prefix cold inside the measurement loop.
+  for — N hardening configurations at one shared optimization budget,
+  which run ICP + inlining once per distinct optimization prefix and
+  stamp each defense onto a copy-on-write clone. Timed against an empty
+  cache and again against the populated cache, which must serve every
+  prefix from disk.
+- ``prefix_delta_ladder``: the budget ladder the delta engine exists for
+  — one profile, many budgets in the fine-grained tuning regime, each
+  derived from the shared decision basis by re-transforming only touched
+  functions. Timed over ``warm_prefix`` (prefix derivation only), per
+  budget and as the mean *added* budget (everything after the first,
+  which pays basis construction).
+- ``prefix_prewarm_sweep``: a cold fast-grid sweep with parallel prefix
+  prewarming over delta-derived budget slices, then a parallel
+  measurement fan-out over the warmed cache — and the same sweep run
+  serially without prewarming, whose CSV must be bit-identical.
 
 Runs as a pytest benchmark (``pytest benchmarks/bench_build.py``,
 ``REPRO_BENCH_FAST=1`` for the small kernel) or as a script
@@ -66,43 +64,30 @@ DEFENSES = (
     DefenseConfig.all_defenses(),
 )
 
-#: Acceptance bar: a cold staged sweep (prefix builds + disk writes +
-#: stamps) must beat the monolithic sweep by at least this factor.
-MIN_COLD_SPEEDUP = 1.5
-
 #: Timing repetitions; each mode reports its fastest run.
 REPS = 2
 
 #: Budget ladder for the delta benchmark: one profile, many budgets, in
 #: the fine-grained tuning regime the delta engine targets — decisions
 #: touch a bounded slice of the module, so the apply phase stays small.
-#: (Near budget 1.0 the decisions touch almost every function and the
-#: apply phase is irreducible in both arms; the staged/prewarm benchmarks
-#: cover that end of the range.)
+#: (Near budget 1.0 the decisions touch almost every function; the
+#: staged/prewarm benchmarks cover that end of the range.)
 DELTA_BUDGETS = (0.3, 0.4, 0.5, 0.6, 0.7)
 
-#: Acceptance bar: deriving an *added* budget from the shared decision
-#: basis must be at least this much cheaper than a cold build of it.
-MIN_DELTA_SPEEDUP = 3.0
-
-#: Acceptance bar: the cold fast-grid sweep with parallel prefix prewarm
-#: (and the incremental engine) vs the same sweep with neither.
-MIN_PREWARM_SPEEDUP = 2.0
-
-#: Worker processes for the prewarm sweep's feature arm (the serial arm
+#: Worker processes for the prewarm sweep's parallel arm (the serial arm
 #: is, by definition, one). Capped so CI runners aren't oversubscribed.
 PREWARM_JOBS = max(2, min(8, os.cpu_count() or 4))
 
 
-def _sweep(pipeline: PibePipeline, configs, profile, staged: bool) -> float:
+def _sweep(pipeline: PibePipeline, configs, profile) -> float:
     start = time.perf_counter()
     for config in configs:
-        pipeline.build_variant(config, profile, staged=staged)
+        pipeline.build_variant(config, profile)
     return time.perf_counter() - start
 
 
 def run_build_bench(fast: bool) -> Dict[str, Any]:
-    """Measure the three sweep modes; returns the benchmark record."""
+    """Time the defense sweep cold and warm; returns the record."""
     spec = SmallSpec() if fast else DEFAULT_SPEC
     ops_scale = 0.05 if fast else 0.02
     kernel = build_kernel(spec)
@@ -111,15 +96,6 @@ def run_build_bench(fast: bool) -> Dict[str, Any]:
     )
     configs = [PibeConfig.lax(d) for d in DEFENSES]
 
-    mono = min(
-        _sweep(PibePipeline(kernel), configs, profile, staged=False)
-        for _ in range(REPS)
-    )
-
-    # incremental=False: this benchmark isolates the staged engine
-    # (prefix reuse + defense stamping); the delta engine's decision
-    # basis only pays for itself over a budget ladder, which
-    # ``prefix_delta_ladder`` measures on its own.
     cold = None
     warm = None
     warm_pipeline = None
@@ -127,16 +103,14 @@ def run_build_bench(fast: bool) -> Dict[str, Any]:
     for _ in range(REPS):
         with tempfile.TemporaryDirectory(prefix="bench-build-") as tmp:
             cache = DiskCache(Path(tmp))
-            cold_pipeline = PibePipeline(kernel, cache=cache, incremental=False)
-            t = _sweep(cold_pipeline, configs, profile, staged=True)
+            cold_pipeline = PibePipeline(kernel, cache=cache)
+            t = _sweep(cold_pipeline, configs, profile)
             cold = t if cold is None else min(cold, t)
             assert cold_pipeline.stats["prefix_builds"] > 0
 
             warm_cache = DiskCache(Path(tmp))
-            warm_pipeline = PibePipeline(
-                kernel, cache=warm_cache, incremental=False
-            )
-            t = _sweep(warm_pipeline, configs, profile, staged=True)
+            warm_pipeline = PibePipeline(kernel, cache=warm_cache)
+            t = _sweep(warm_pipeline, configs, profile)
             warm = t if warm is None else min(warm, t)
 
     # The warm sweep must be served from the persisted prefixes: disk
@@ -152,12 +126,8 @@ def run_build_bench(fast: bool) -> Dict[str, Any]:
         "defenses": [d.label() for d in DEFENSES],
         "budget": {"icp": configs[0].icp_budget, "inline": configs[0].inline_budget},
         "reps": REPS,
-        "monolithic_seconds": round(mono, 4),
         "staged_cold_seconds": round(cold, 4),
         "staged_warm_seconds": round(warm, 4),
-        "cold_speedup": round(mono / cold, 2),
-        "warm_speedup": round(mono / warm, 2),
-        "min_cold_speedup": MIN_COLD_SPEEDUP,
         "pipeline_stats": dict(warm_pipeline.stats),
         "prefix_cache": prefix_stats,
     }
@@ -165,7 +135,7 @@ def run_build_bench(fast: bool) -> Dict[str, Any]:
 
 
 def run_delta_bench(fast: bool) -> Dict[str, Any]:
-    """Budget ladder: cold pass-stack prefixes vs delta derivation."""
+    """Budget ladder: every prefix derived from one decision basis."""
     spec = SmallSpec() if fast else DEFAULT_SPEC
     ops_scale = 0.05 if fast else 0.02
     kernel = build_kernel(spec)
@@ -182,62 +152,46 @@ def run_delta_bench(fast: bool) -> Dict[str, Any]:
         for budget in DELTA_BUDGETS
     ]
 
-    # Timed via warm_prefix: the prefix derivation is what the delta
-    # engine accelerates — the hardening stamp downstream is identical
-    # in both arms and would only dilute the measurement.
-    def ladder(incremental: bool):
-        best = None
-        pipeline = None
-        for _ in range(REPS):
-            pipeline = PibePipeline(kernel, incremental=incremental)
-            times = []
-            for config in configs:
-                start = time.perf_counter()
-                pipeline.warm_prefix(config, profile)
-                times.append(time.perf_counter() - start)
-            if best is None or sum(times) < sum(best):
-                best = times
-        return best, pipeline
+    # Timed via warm_prefix: prefix derivation only, without the
+    # hardening stamp downstream.
+    delta_times = None
+    pipeline = None
+    for _ in range(REPS):
+        pipeline = PibePipeline(kernel)
+        times = []
+        for config in configs:
+            start = time.perf_counter()
+            pipeline.warm_prefix(config, profile)
+            times.append(time.perf_counter() - start)
+        if delta_times is None or sum(times) < sum(delta_times):
+            delta_times = times
+    assert pipeline.stats["prefix_delta_builds"] == len(configs)
 
-    cold_times, cold_pipeline = ladder(incremental=False)
-    delta_times, delta_pipeline = ladder(incremental=True)
-    assert cold_pipeline.stats["prefix_delta_builds"] == 0
-    assert delta_pipeline.stats["prefix_delta_builds"] == len(configs)
-
-    # The first budget pays decision-basis construction (delta arm) or a
-    # plain cold build (cold arm); the engine's claim is about every
-    # budget *added* after it.
-    added = len(configs) - 1
-    cold_added = sum(cold_times[1:]) / added
-    delta_added = sum(delta_times[1:]) / added
+    # The first budget pays decision-basis construction; every budget
+    # *added* after it is a pure delta.
+    delta_added = sum(delta_times[1:]) / (len(configs) - 1)
     return {
         "benchmark": "prefix_delta_ladder",
         "kernel": type(spec).__name__,
         "budgets": list(DELTA_BUDGETS),
         "reps": REPS,
-        "cold_ladder_seconds": [round(t, 4) for t in cold_times],
         "delta_ladder_seconds": [round(t, 4) for t in delta_times],
-        "cold_added_budget_seconds": round(cold_added, 4),
         "delta_added_budget_seconds": round(delta_added, 4),
-        "delta_speedup": round(cold_added / delta_added, 2),
-        "min_delta_speedup": MIN_DELTA_SPEEDUP,
-        "pipeline_stats": dict(delta_pipeline.stats),
+        "pipeline_stats": dict(pipeline.stats),
     }
 
 
 def run_prewarm_bench(fast: bool) -> Dict[str, Any]:
-    """Cold fast-grid sweep: this PR's build machinery vs the serial engine.
+    """Cold fast-grid sweep, serial and with parallel prewarming.
 
-    The serial arm is the pre-incremental sweep — one worker, every
-    optimized prefix built cold through the full pass stack inside the
-    measurement loop. The feature arm runs the same grid with the
-    machinery this engine adds: parallel prefix prewarming across the
-    worker pool, each slice deriving its budgets from a shared decision
-    basis, with measurement fanned out over the warmed disk cache. The
-    workload profile is seeded into both arms' cache directories up
-    front and the (arm-identical) security attachment is skipped, so
-    everything timed is build-and-measure work the sweep actually
-    changes. Both arms must emit bit-identical CSVs.
+    The serial arm runs one worker and builds every optimized prefix
+    inside the measurement loop. The prewarm arm runs the same grid with
+    parallel prefix prewarming across the worker pool, each slice
+    deriving its budgets from a shared decision basis, with measurement
+    fanned out over the warmed disk cache. The workload profile is
+    seeded into both arms' cache directories up front and the security
+    attachment is skipped, so everything timed is build-and-measure
+    work. Both arms must emit bit-identical CSVs.
     """
     budgets = (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.999999)
     grid = SweepGrid(
@@ -257,7 +211,7 @@ def run_prewarm_bench(fast: bool) -> Dict[str, Any]:
 
     with tempfile.TemporaryDirectory(prefix="bench-prewarm-") as seed_dir:
         # Profile once and copy the cache entries into each arm: the
-        # profile is input to both engines, not work either one changes.
+        # profile is input to both arms, not work either one changes.
         seed_settings = EvalSettings(
             profile_iterations=1,
             profile_ops_scale=0.02,
@@ -268,7 +222,7 @@ def run_prewarm_bench(fast: bool) -> Dict[str, Any]:
         with EvalContext(seed_settings, kernel=kernel) as ctx:
             ctx.profile("lmbench")
 
-        def arm(jobs: int, prewarm: bool, incremental: bool):
+        def arm(jobs: int, prewarm: bool):
             with tempfile.TemporaryDirectory(prefix="bench-prewarm-") as tmp:
                 shutil.copytree(
                     Path(seed_dir) / "profile", Path(tmp) / "profile"
@@ -279,7 +233,6 @@ def run_prewarm_bench(fast: bool) -> Dict[str, Any]:
                     measure_ops_scale=0.02,
                     jobs=jobs,
                     cache_dir=tmp,
-                    incremental_prefixes=incremental,
                 )
                 start = time.perf_counter()
                 result = run_sweep(
@@ -294,16 +247,16 @@ def run_prewarm_bench(fast: bool) -> Dict[str, Any]:
                 return time.perf_counter() - start, result
 
         serial_seconds = None
-        feature_seconds = None
-        serial = feature = None
+        prewarm_seconds = None
+        serial = prewarmed = None
         for _ in range(reps):
-            t, serial = arm(1, prewarm=False, incremental=False)
+            t, serial = arm(1, prewarm=False)
             serial_seconds = t if serial_seconds is None else min(serial_seconds, t)
-            t, feature = arm(PREWARM_JOBS, prewarm=True, incremental=True)
-            feature_seconds = (
-                t if feature_seconds is None else min(feature_seconds, t)
+            t, prewarmed = arm(PREWARM_JOBS, prewarm=True)
+            prewarm_seconds = (
+                t if prewarm_seconds is None else min(prewarm_seconds, t)
             )
-    assert feature.to_csv() == serial.to_csv(), "prewarm CSV diverged"
+    assert prewarmed.to_csv() == serial.to_csv(), "prewarm CSV diverged"
 
     return {
         "benchmark": "prefix_prewarm_sweep",
@@ -314,56 +267,30 @@ def run_prewarm_bench(fast: bool) -> Dict[str, Any]:
         "jobs": PREWARM_JOBS,
         "reps": reps,
         "serial_cold_seconds": round(serial_seconds, 4),
-        "prewarm_seconds": round(feature_seconds, 4),
-        "prewarm_speedup": round(serial_seconds / feature_seconds, 2),
-        "min_prewarm_speedup": MIN_PREWARM_SPEEDUP,
-        "pipeline_stats": feature.stats["pipeline"],
-        "baseline_pipeline_stats": serial.stats["pipeline"],
+        "prewarm_seconds": round(prewarm_seconds, 4),
+        # The serial arm's counters: the prewarm arm builds every prefix
+        # in worker processes, so its own pipeline counts nothing.
+        "pipeline_stats": serial.stats["pipeline"],
     }
 
 
-def _check_staged(record: Dict[str, Any]) -> None:
-    assert record["cold_speedup"] >= MIN_COLD_SPEEDUP, (
-        f"cold staged sweep only {record['cold_speedup']}x the monolithic "
-        f"sweep, bar {MIN_COLD_SPEEDUP}x"
-    )
-
-
-def _check_delta(record: Dict[str, Any]) -> None:
-    assert record["delta_speedup"] >= MIN_DELTA_SPEEDUP, (
-        f"delta-derived added budget only {record['delta_speedup']}x "
-        f"cheaper than a cold build, bar {MIN_DELTA_SPEEDUP}x"
-    )
-
-
-def _check_prewarm(record: Dict[str, Any]) -> None:
-    assert record["prewarm_speedup"] >= MIN_PREWARM_SPEEDUP, (
-        f"prewarmed cold sweep only {record['prewarm_speedup']}x the "
-        f"no-prewarm sweep, bar {MIN_PREWARM_SPEEDUP}x"
-    )
-
-
-def _check_and_write(record, check, strict: bool = None) -> None:
+def _write(record, strict: bool = None) -> None:
     stamp(record, strict=strict)
     write_record(RECORD_PATH, record)
     print(f"\n{record['benchmark']} benchmark ({RECORD_PATH.name}):")
     print(json.dumps(record, indent=2))
-    check(record)
 
 
 def test_staged_build_sweep():
-    fast = bool(os.environ.get("REPRO_BENCH_FAST"))
-    _check_and_write(run_build_bench(fast), _check_staged)
+    _write(run_build_bench(bool(os.environ.get("REPRO_BENCH_FAST"))))
 
 
 def test_prefix_delta_ladder():
-    fast = bool(os.environ.get("REPRO_BENCH_FAST"))
-    _check_and_write(run_delta_bench(fast), _check_delta)
+    _write(run_delta_bench(bool(os.environ.get("REPRO_BENCH_FAST"))))
 
 
 def test_prefix_prewarm_sweep():
-    fast = bool(os.environ.get("REPRO_BENCH_FAST"))
-    _check_and_write(run_prewarm_bench(fast), _check_prewarm)
+    _write(run_prewarm_bench(bool(os.environ.get("REPRO_BENCH_FAST"))))
 
 
 def main(argv=None) -> int:
@@ -378,11 +305,9 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     strict = args.strict_git or None
-    _check_and_write(run_build_bench(args.fast), _check_staged, strict=strict)
-    _check_and_write(run_delta_bench(args.fast), _check_delta, strict=strict)
-    _check_and_write(
-        run_prewarm_bench(args.fast), _check_prewarm, strict=strict
-    )
+    _write(run_build_bench(args.fast), strict=strict)
+    _write(run_delta_bench(args.fast), strict=strict)
+    _write(run_prewarm_bench(args.fast), strict=strict)
     return 0
 
 

@@ -20,21 +20,24 @@ stamping the hardening pass onto a copy-on-write clone of the cached
 prefix. A defense sweep at one budget runs ICP + inlining once instead
 of once per defense combination.
 
-Prefixes for *optimized* keys are themselves built **incrementally**
-(paper Section 4's "one profile, many budgets" workflow): ICP and the
-inliners split into a decision phase — ranked against the profile and
-budget over a :class:`~repro.passes.decisions.VirtualSpace`, no IR
-mutation — and an apply phase that replays the decisions onto a
-copy-on-write clone of a shared per-profile *decision basis* (the
-lifted + switch-lowered module). Only functions the decisions touch are
-materialized; everything else is shared with the basis (and hence with
-every neighboring budget's prefix), and per-function SimplifyCFG results
-and validation are cached on the basis. The replay mints global ids in
-the exact order a cold monolithic build would, so delta-derived prefixes
-are bit-identical to cold ones (pinned by the differential and property
-tests). On disk, prefixes persist as a header plus content-addressed
-function-group chunks, so warm loads decode each shared group once per
-process no matter how many budget entries reference it.
+Every prefix is built **incrementally** (paper Section 4's "one profile,
+many budgets" workflow) as a copy-on-write delta of a shared *decision
+basis*: the lifted + switch-lowered module for optimized keys, the
+baseline itself for unoptimized ones. ICP and the inliners split into a
+decision phase — ranked against the profile and budget over a
+:class:`~repro.passes.decisions.VirtualSpace`, no IR mutation — and an
+apply phase that replays the decisions onto the clone. Only functions
+the decisions touch are materialized; everything else is shared with the
+basis (and hence with every neighboring budget's prefix), and
+per-function SimplifyCFG results, call-graph edges and validation are
+cached on the basis. The replay mints global ids in the exact order the
+reference pass run would, so prefixes are bit-identical to
+``build_variant(validate=True)``, which runs every pass through the
+:class:`~repro.passes.manager.PassManager` from a fresh baseline clone
+(pinned by the differential, property and golden-fingerprint tests). On
+disk, prefixes persist as a header plus content-addressed function-group
+chunks, so warm loads decode each shared group once per process no
+matter how many budget entries reference it.
 """
 
 from __future__ import annotations
@@ -76,7 +79,6 @@ from repro.passes.decisions import (
 )
 from repro.passes.default_inliner import DefaultInliner, DefaultInlineReport
 from repro.passes.icp import ICPReport, IndirectCallPromotion, PromotionRecord
-from repro.passes.inline_cost import InlineCostCache
 from repro.passes.inliner import InlineReport, PibeInliner
 from repro.passes.jumptables import LowerSwitches, SwitchLoweringReport
 from repro.passes.lto import (
@@ -138,7 +140,8 @@ def deterministic_build_ids():
 
     Two builds wrapped in separate ``deterministic_build_ids()`` blocks
     allocate identical ids, making their output directly comparable —
-    the staged-vs-monolithic differential tests' backbone. The caveat of
+    the backbone of the fast-vs-reference differential tests and the
+    golden build fingerprints. The caveat of
     :func:`repro.ir.instruction.site_id_checkpoint` applies: modules from
     different checkpoints reuse ids, so never mix them under one profile.
     """
@@ -224,16 +227,19 @@ class PrefixEntry:
 
 
 class _DecisionBasis:
-    """Per-(profile, jump-table legality) shared state for delta builds.
+    """Shared state for delta builds of one basis module.
 
-    Holds the lifted + switch-lowered copy-on-write clone of the baseline
-    that every budget's decision/apply run clones from, plus everything
-    that depends only on it: the lowering report, ICP's candidate list,
-    the pre-ICP static ICALL census, per-function decision seeds,
-    per-function SimplifyCFG results for functions no decision touched,
-    and the names whose (shared) post-simplify bodies already passed
-    validation. The module is immutable after construction — deltas only
-    ever read it or COW-clone it.
+    For optimized prefixes that module is the per-(profile, jump-table
+    legality) lifted + switch-lowered copy-on-write clone of the baseline
+    that every budget's decision/apply run clones from; unoptimized
+    prefixes use the baseline itself (``lower_report`` is ``None``: they
+    lower switches on their own clone). The basis caches everything that
+    depends only on its module: the lowering report, ICP's candidate
+    list, the pre-ICP static ICALL census, per-function decision seeds,
+    per-function SimplifyCFG results and call-graph edges for functions
+    no decision touched, and the names whose (shared) bodies already
+    passed validation. The module is immutable after construction —
+    deltas only ever read it or COW-clone it.
     """
 
     def __init__(self, module: Module, lower_report: Any) -> None:
@@ -362,27 +368,24 @@ class PibePipeline:
         and ``"prefix-chunk"`` kind (content-addressed function groups)
         so other processes (parallel evaluation workers, later runs)
         skip the ICP + inlining work entirely.
-    incremental:
-        Build optimized prefixes through the delta decision/apply engine
-        (share a per-profile basis across budgets, transform only touched
-        functions). ``False`` forces every prefix through the monolithic
-        cold pass run — the benchmark baseline arm; output is
-        bit-identical either way.
     """
 
     def __init__(
         self,
         baseline: Module,
         cache: Optional[Any] = None,
-        incremental: bool = True,
     ) -> None:
         validate_module(baseline)
         self.baseline = baseline
         self.cache = cache
-        self.incremental = incremental
         self._baseline_fp: Optional[str] = None
         self._prefix_memo: Dict[Any, PrefixEntry] = {}
         self._basis_memo: Dict[Tuple[str, bool], _DecisionBasis] = {}
+        #: basis of unoptimized prefixes, for both jump-table settings:
+        #: they lower switches on their own clone, so the functions
+        #: lowering rewrites are prefix-owned and persist outside the
+        #: shared baseline-name chunk windows.
+        self._baseline_basis = _DecisionBasis(baseline, None)
         #: decoded prefix chunks by content sha — shared across entries so
         #: a warm budget ladder decodes each untouched group once.
         self._chunk_memo: Dict[str, Tuple[Dict[str, Function], int]] = {}
@@ -475,31 +478,26 @@ class PibePipeline:
         profile: Optional[EdgeProfile] = None,
         validate: bool = False,
         verify_each: bool = False,
-        staged: Optional[bool] = None,
     ) -> BuildResult:
         """Produce one kernel variant.
 
         ``profile`` is required whenever the config enables ICP or
-        inlining. ``validate`` re-verifies the module after every pass
+        inlining. By default the hardening pass is stamped onto the
+        shared optimized prefix (one ICP + inlining run per budget
+        instead of per variant). ``validate`` takes the reference path
+        instead: every pass runs through the :class:`PassManager` on a
+        fresh baseline clone and the module is re-verified after each
         (slower; on for tests, off for benchmark sweeps). ``verify_each``
-        additionally runs the full static-analysis rule set at every pass
-        boundary, raising on error-severity findings.
-
-        ``staged`` selects the build engine: ``True`` stamps hardening
-        onto the shared optimized prefix (bit-identical output, one ICP +
-        inlining run per budget instead of per variant), ``False`` runs
-        the monolithic pass list from a fresh baseline clone. The default
-        stages whenever neither ``validate`` nor ``verify_each`` is set —
-        pass-boundary verification needs every pass to actually run.
+        also takes the reference path and additionally runs the full
+        static-analysis rule set at every pass boundary, raising on
+        error-severity findings. Both paths produce bit-identical output.
         """
         if config.optimized and profile is None:
             raise ValueError(
                 f"config {config.label()!r} needs a profile for its "
                 "optimization budgets"
             )
-        if staged is None:
-            staged = not (validate or verify_each)
-        if staged and not (validate or verify_each):
+        if not (validate or verify_each):
             return self._build_staged(config, profile)
         self.stats["monolithic_builds"] += 1
         module = clone_module(self.baseline)
@@ -511,7 +509,22 @@ class PibePipeline:
         ]
         if profile is not None and config.optimized:
             lift_profile(module, profile)
-            self._add_optimization_passes(passes, config, profile)
+            if config.icp_budget is not None:
+                passes.append(IndirectCallPromotion(budget=config.icp_budget))
+            if config.inline_budget is not None:
+                if config.use_default_inliner:
+                    passes.append(DefaultInliner(profile=profile))
+                else:
+                    passes.append(
+                        PibeInliner(
+                            profile,
+                            budget=config.inline_budget,
+                            caller_threshold=config.caller_threshold,
+                            callee_threshold=config.callee_threshold,
+                            lax_heuristics=config.lax_heuristics,
+                        )
+                    )
+            passes.append(SimplifyCFG())
         if config.run_dce:
             passes.append(DeadFunctionElimination())
         passes.append(HardeningPass(config.defenses))
@@ -527,33 +540,6 @@ class PibePipeline:
         if not validate:
             validate_module(module)
         return BuildResult(config=config, module=module, reports=reports)
-
-    @staticmethod
-    def _add_optimization_passes(
-        passes: List[ModulePass], config: PibeConfig, profile: EdgeProfile
-    ) -> None:
-        """Append the ICP / inline / cleanup passes for an optimized config
-        (identical list for the monolithic path and the prefix build)."""
-        if config.icp_budget is not None:
-            passes.append(IndirectCallPromotion(budget=config.icp_budget))
-        if config.inline_budget is not None:
-            # One cost cache serves the whole build; the inliner keeps it
-            # exact incrementally instead of invalidating per splice.
-            costs = InlineCostCache()
-            if config.use_default_inliner:
-                passes.append(DefaultInliner(profile=profile, costs=costs))
-            else:
-                passes.append(
-                    PibeInliner(
-                        profile,
-                        budget=config.inline_budget,
-                        caller_threshold=config.caller_threshold,
-                        callee_threshold=config.callee_threshold,
-                        lax_heuristics=config.lax_heuristics,
-                        costs=costs,
-                    )
-                )
-        passes.append(SimplifyCFG())
 
     # -- staged engine ---------------------------------------------------------
 
@@ -583,11 +569,9 @@ class PibePipeline:
         """The shared pre-hardening module for ``config``'s optimization
         facets: from the in-memory memo, else the disk cache, else built."""
         key = PrefixKey.from_config(config)
-        digest = (
-            profile.digest()
-            if profile is not None and config.optimized
-            else None
-        )
+        if not config.optimized:
+            profile = None  # unoptimized prefixes never read the profile
+        digest = profile.digest() if profile is not None else None
         memo_key: Tuple[Optional[str], PrefixKey] = (digest, key)
         entry = self._prefix_memo.get(memo_key)
         if entry is not None:
@@ -613,7 +597,7 @@ class PibePipeline:
                     self._prefix_memo[memo_key] = entry
                     return entry
 
-        entry = self._build_prefix(config, profile, key)
+        entry = self._build_prefix(profile, key)
         self.stats["prefix_builds"] += 1
         self._prefix_memo[memo_key] = entry
         if self.cache is not None and disk_key is not None:
@@ -656,17 +640,6 @@ class PibePipeline:
                 return "disk"
         return "cold"
 
-    def _build_prefix(
-        self,
-        config: PibeConfig,
-        profile: Optional[EdgeProfile],
-        key: PrefixKey,
-    ) -> PrefixEntry:
-        """Build one optimized prefix, via the delta engine when possible."""
-        if self.incremental and profile is not None and config.optimized:
-            return self._build_prefix_incremental(profile, key)
-        return self._build_prefix_cold(config, profile, key)
-
     # -- delta engine ------------------------------------------------------------
 
     def _decision_basis(
@@ -675,10 +648,10 @@ class PibePipeline:
         basis_key = (profile.digest(), allow_jump_tables)
         basis = self._basis_memo.get(basis_key)
         if basis is None:
-            # Exactly the cold path's pre-decision steps, in cold order:
-            # COW clone, lift the profile, lower switches. None of them
-            # mint global ids, so the basis is allocator-neutral and the
-            # replay below stays bit-identical to a cold build.
+            # Exactly the reference path's pre-decision steps, in its
+            # order: COW clone, lift the profile, lower switches. None of
+            # them mint global ids, so the basis is allocator-neutral and
+            # the replay below stays bit-identical to the reference build.
             module = clone_module(self.baseline, cow=True)
             lift_profile(module, profile)
             lower_report = LowerSwitches(
@@ -688,26 +661,32 @@ class PibePipeline:
             self._basis_memo[basis_key] = basis
         return basis
 
-    def _build_prefix_incremental(
-        self, profile: EdgeProfile, key: PrefixKey
+    def _build_prefix(
+        self, profile: Optional[EdgeProfile], key: PrefixKey
     ) -> PrefixEntry:
-        """Decision/apply build of one optimized prefix from the shared
-        per-profile basis, transforming only functions the decisions touch.
+        """Decision/apply build of one prefix from its shared basis,
+        transforming only functions the decisions touch.
 
         The pass sequence (and the reports dict's insertion order) mirrors
-        the cold monolithic prefix run exactly: lower, ICP, inliner,
-        SimplifyCFG, DCE. Decisions are planned against seeds / a
-        :class:`VirtualSpace` (no IR mutation), then replayed onto a COW
-        clone of the basis in decided order, so id minting matches a cold
-        build step for step.
+        the reference pass run exactly: lower, ICP, inliner, SimplifyCFG,
+        DCE — the middle three only for optimized keys (``profile`` set).
+        Decisions are planned against seeds / a :class:`VirtualSpace` (no
+        IR mutation), then replayed onto a COW clone of the basis in
+        decided order, so id minting matches the reference run step for
+        step.
         """
         self.stats["prefix_delta_builds"] += 1
-        basis = self._decision_basis(profile, key.allow_jump_tables)
-        module = clone_module(basis.module, cow=True)
-        reports: Dict[str, Any] = {
-            LowerSwitches.name: copy.deepcopy(basis.lower_report)
-        }
+        if profile is None:
+            basis = self._baseline_basis
+            module = clone_module(basis.module, cow=True)
+            lower = LowerSwitches(allow_jump_tables=key.allow_jump_tables)
+            reports: Dict[str, Any] = {LowerSwitches.name: lower.run(module)}
+        else:
+            basis = self._decision_basis(profile, key.allow_jump_tables)
+            module = clone_module(basis.module, cow=True)
+            reports = {LowerSwitches.name: copy.deepcopy(basis.lower_report)}
 
+        # Unoptimized keys carry no budgets: no ICP, no inlining.
         icp_touched: set = set()
         if key.icp_budget is not None:
             icp = IndirectCallPromotion(budget=key.icp_budget)
@@ -752,24 +731,26 @@ class PibePipeline:
                     module, inline_plan
                 )
 
-        # SimplifyCFG: touched functions get a direct in-place pass;
-        # untouched ones reuse the basis's per-function result (a shared
-        # simplified clone, or nothing to merge). Replacing the mapping
-        # while leaving the name COW-shared is safe — the shared clone is
-        # never mutated, and any later mutable() clones it first.
-        simplifier = SimplifyCFG()
-        simplify_report = SimplifyCFGReport()
-        for name in list(module.functions):
-            if module.is_cow_shared(name):
-                shared_clone, merges = basis.simplified(name)
-                if shared_clone is not None:
-                    module.functions[name] = shared_clone
-                    simplify_report.merged_blocks += merges
-            else:
-                simplify_report.merged_blocks += simplifier._simplify(
-                    module.functions[name]
-                )
-        reports[SimplifyCFG.name] = simplify_report
+        # SimplifyCFG (optimized keys only, like the reference path):
+        # touched functions get a direct in-place pass; untouched ones
+        # reuse the basis's per-function result (a shared simplified
+        # clone, or nothing to merge). Replacing the mapping while leaving
+        # the name COW-shared is safe — the shared clone is never
+        # mutated, and any later mutable() clones it first.
+        if profile is not None:
+            simplifier = SimplifyCFG()
+            simplify_report = SimplifyCFGReport()
+            for name in list(module.functions):
+                if module.is_cow_shared(name):
+                    shared_clone, merges = basis.simplified(name)
+                    if shared_clone is not None:
+                        module.functions[name] = shared_clone
+                        simplify_report.merged_blocks += merges
+                else:
+                    simplify_report.merged_blocks += simplifier._simplify(
+                        module.functions[name]
+                    )
+            reports[SimplifyCFG.name] = simplify_report
 
         if key.run_dce:
             reports[DeadFunctionElimination.name] = self._dce_incremental(
@@ -801,7 +782,7 @@ class PibePipeline:
         graph: shared functions reuse edge lists cached on the basis, so
         each delta only scans the functions its decisions touched. Same
         roots, same reachability, same removal order — the report and the
-        surviving module are bit-identical to the monolithic pass.
+        surviving module are bit-identical to the pass.
         """
         from repro.ir.types import FunctionAttr
 
@@ -836,29 +817,6 @@ class PibePipeline:
                 module._cow_shared.discard(name)
                 report.removed_functions += 1
         return report
-
-    def _build_prefix_cold(
-        self,
-        config: PibeConfig,
-        profile: Optional[EdgeProfile],
-        key: PrefixKey,
-    ) -> PrefixEntry:
-        """Run the pre-hardening pass list once, on a COW baseline clone."""
-        module = clone_module(self.baseline, cow=True)
-        passes: List[ModulePass] = [
-            LowerSwitches(allow_jump_tables=key.allow_jump_tables)
-        ]
-        if profile is not None and config.optimized:
-            lift_profile(module, profile)
-            self._add_optimization_passes(passes, config, profile)
-        if key.run_dce:
-            passes.append(DeadFunctionElimination())
-        manager = PassManager(validate_after_each=False)
-        for pass_ in passes:
-            manager.add(pass_)
-        reports = manager.run(module)
-        validate_module(module)
-        return PrefixEntry(module=module, reports=reports, source="built")
 
     # -- chunked prefix persistence ---------------------------------------------
 

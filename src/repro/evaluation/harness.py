@@ -101,11 +101,6 @@ class EvalSettings:
     #: Base of the exponential backoff between retries of one cell
     #: (``retry_backoff * 2**(attempt - 1)`` seconds).
     retry_backoff: float = 0.05
-    #: Build optimized prefixes through the incremental decision/apply
-    #: engine (delta derivation from a shared per-profile basis). Off
-    #: forces every prefix through the cold pass stack — the benchmark
-    #: baseline arm; outputs are bit-identical either way.
-    incremental_prefixes: bool = True
 
     @classmethod
     def fast(cls) -> "EvalSettings":
@@ -142,11 +137,7 @@ class EvalContext:
         # persist their optimized prefixes: parallel workers and later
         # runs stamp defenses onto disk-loaded prefixes instead of
         # re-running ICP + inlining per variant.
-        self.pipeline = PibePipeline(
-            self.kernel,
-            cache=self.cache,
-            incremental=self.settings.incremental_prefixes,
-        )
+        self.pipeline = PibePipeline(self.kernel, cache=self.cache)
         self._profiles: Dict[str, EdgeProfile] = {}
         self._variants: Dict[str, BuildResult] = {}
         self._measurements: Dict[str, Dict[str, float]] = {}

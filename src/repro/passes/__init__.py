@@ -6,7 +6,6 @@ from repro.passes.inline_cost import (
     DEFAULT_CALLEE_THRESHOLD,
     DEFAULT_CALLER_THRESHOLD,
     STANDARD_INSTRUCTION_COST,
-    InlineCostCache,
     function_cost,
     instruction_cost,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "FunctionPass",
     "ICPReport",
     "IndirectCallPromotion",
-    "InlineCostCache",
     "InlineReport",
     "JUMP_TABLE_MIN_CASES",
     "LowerSwitches",

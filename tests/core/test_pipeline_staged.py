@@ -1,5 +1,5 @@
-"""Staged build engine: bit-identity with monolithic builds, prefix
-sharing, disk persistence and copy-on-write discipline."""
+"""Staged build engine: bit-identity with the ``validate=True`` reference
+build, prefix sharing, disk persistence and copy-on-write discipline."""
 
 import json
 
@@ -30,11 +30,12 @@ def _fingerprint(module) -> str:
     return module_fingerprint(module, include_sites=True)
 
 
-def _build(pipeline, config, profile, staged):
-    """One variant under a fresh id checkpoint, so staged and monolithic
-    builds mint identical site ids and inline labels."""
+def _build(pipeline, config, profile, validate=False):
+    """One variant under a fresh id checkpoint, so staged and reference
+    (``validate=True``: every pass through the pass manager) builds mint
+    identical site ids and inline labels."""
     with deterministic_build_ids():
-        return pipeline.build_variant(config, profile, staged=staged)
+        return pipeline.build_variant(config, profile, validate=validate)
 
 
 @pytest.fixture()
@@ -45,7 +46,7 @@ def fresh_pipeline(small_kernel):
     return PibePipeline(small_kernel)
 
 
-# -- differential: staged output must be bit-identical ------------------------
+# -- differential: staged output must match the reference build ---------------
 
 
 @pytest.mark.parametrize(
@@ -55,25 +56,28 @@ def test_staged_bit_identical_to_monolithic(
     fresh_pipeline, small_profile, defenses
 ):
     config = PibeConfig.lax(defenses)
-    mono = _build(fresh_pipeline, config, small_profile, staged=False)
-    staged = _build(fresh_pipeline, config, small_profile, staged=True)
+    mono = _build(fresh_pipeline, config, small_profile, validate=True)
+    staged = _build(fresh_pipeline, config, small_profile)
     assert _fingerprint(staged.module) == _fingerprint(mono.module)
     assert format_module(staged.module) == format_module(mono.module)
     validate_module(staged.module)
 
 
 def test_staged_unoptimized_bit_identical(fresh_pipeline):
-    config = PibeConfig.hardened(DefenseConfig.retpolines_only())
-    mono = _build(fresh_pipeline, config, None, staged=False)
-    staged = _build(fresh_pipeline, config, None, staged=True)
-    assert _fingerprint(staged.module) == _fingerprint(mono.module)
-    assert format_module(staged.module) == format_module(mono.module)
+    # none keeps jump tables, retpolines disables them
+    for defenses in (DefenseConfig.none(), DefenseConfig.retpolines_only()):
+        config = PibeConfig.hardened(defenses)
+        mono = _build(fresh_pipeline, config, None, validate=True)
+        staged = _build(fresh_pipeline, config, None)
+        assert _fingerprint(staged.module) == _fingerprint(mono.module)
+        assert format_module(staged.module) == format_module(mono.module)
+        assert list(staged.reports) == list(mono.reports)
 
 
 def test_staged_reports_match_monolithic(fresh_pipeline, small_profile):
     config = PibeConfig.lax(DefenseConfig.all_defenses())
-    mono = _build(fresh_pipeline, config, small_profile, staged=False)
-    staged = _build(fresh_pipeline, config, small_profile, staged=True)
+    mono = _build(fresh_pipeline, config, small_profile, validate=True)
+    staged = _build(fresh_pipeline, config, small_profile)
     assert set(staged.reports) == set(mono.reports)
     assert (
         staged.reports["hardening"].sites_by_defense
@@ -91,9 +95,7 @@ def test_staged_reports_match_monolithic(fresh_pipeline, small_profile):
 def test_defense_sweep_shares_prefixes(small_kernel, small_profile):
     pipeline = PibePipeline(small_kernel)
     for defenses in DEFENSE_SWEEP:
-        pipeline.build_variant(
-            PibeConfig.lax(defenses), small_profile, staged=True
-        )
+        pipeline.build_variant(PibeConfig.lax(defenses), small_profile)
     # jump-table legality is the only defense facet inside the prefix:
     # {none, ret-retpolines} allow tables, the other three do not.
     assert pipeline.stats["staged_builds"] == 5
@@ -139,9 +141,9 @@ def test_validate_mode_forces_monolithic(small_pipeline, small_profile):
 def test_variant_reports_are_private(small_kernel, small_profile):
     pipeline = PibePipeline(small_kernel)
     config = PibeConfig.lax(DefenseConfig.retpolines_only())
-    first = pipeline.build_variant(config, small_profile, staged=True)
+    first = pipeline.build_variant(config, small_profile)
     first.reports["pibe-inliner"].inlined_weight = -1
-    second = pipeline.build_variant(config, small_profile, staged=True)
+    second = pipeline.build_variant(config, small_profile)
     assert second.reports["pibe-inliner"].inlined_weight != -1
 
 
@@ -149,9 +151,7 @@ def test_staged_baseline_never_mutated(small_kernel, small_profile):
     pipeline = PibePipeline(small_kernel)
     fp_before = _fingerprint(small_kernel)
     for defenses in DEFENSE_SWEEP:
-        pipeline.build_variant(
-            PibeConfig.lax(defenses), small_profile, staged=True
-        )
+        pipeline.build_variant(PibeConfig.lax(defenses), small_profile)
     assert _fingerprint(small_kernel) == fp_before
 
 
@@ -165,11 +165,11 @@ def test_disk_warm_prefix_is_bit_identical(
     cache = DiskCache(tmp_path)
 
     cold_pipeline = PibePipeline(small_kernel, cache=cache)
-    cold = _build(cold_pipeline, config, small_profile, staged=True)
+    cold = _build(cold_pipeline, config, small_profile)
     assert cold_pipeline.stats["prefix_builds"] == 1
 
     warm_pipeline = PibePipeline(small_kernel, cache=cache)
-    warm = _build(warm_pipeline, config, small_profile, staged=True)
+    warm = _build(warm_pipeline, config, small_profile)
     assert warm_pipeline.stats["prefix_disk_hits"] == 1
     assert warm_pipeline.stats["prefix_builds"] == 0
     assert cache.stats()["by_kind"]["prefix"]["hits"] == 1
@@ -188,7 +188,7 @@ def test_tampered_prefix_payload_is_rebuilt(
     config = PibeConfig.lax(DefenseConfig.all_defenses())
     cache = DiskCache(tmp_path)
     cold_pipeline = PibePipeline(small_kernel, cache=cache)
-    cold = _build(cold_pipeline, config, small_profile, staged=True)
+    cold = _build(cold_pipeline, config, small_profile)
 
     (entry,) = (tmp_path / "prefix").glob("*.json")
     payload = json.loads(entry.read_text())
@@ -196,7 +196,7 @@ def test_tampered_prefix_payload_is_rebuilt(
     entry.write_text(json.dumps(payload))
 
     warm_pipeline = PibePipeline(small_kernel, cache=cache)
-    warm = _build(warm_pipeline, config, small_profile, staged=True)
+    warm = _build(warm_pipeline, config, small_profile)
     # content hash mismatch -> treated as a miss, prefix rebuilt; the
     # corrupt header is quarantined and counted, like any corrupt entry
     assert warm_pipeline.stats["prefix_disk_hits"] == 0
@@ -213,12 +213,12 @@ def test_profile_identity_keys_prefix(tmp_path, small_kernel, small_profile):
     cache = DiskCache(tmp_path)
     config = PibeConfig.lax(DefenseConfig.retpolines_only())
     pipeline = PibePipeline(small_kernel, cache=cache)
-    pipeline.build_variant(config, small_profile, staged=True)
+    pipeline.build_variant(config, small_profile)
 
     other_profile = PibePipeline(small_kernel).profile(
         lmbench_workload(ops_scale=0.01), iterations=1
     )
     assert other_profile.digest() != small_profile.digest()
-    pipeline.build_variant(config, other_profile, staged=True)
+    pipeline.build_variant(config, other_profile)
     # a different profile must not reuse the first prefix
     assert pipeline.stats["prefix_builds"] == 2

@@ -1,9 +1,10 @@
 """Property: ANY budget ladder, visited in ANY order, built through the
 delta prefix engine (one shared decision basis per profile/jump-table
-axis) is bit-identical to independent cold builds of the same configs.
-This is the differential safety net behind the incremental engine's perf
-claims — order-insensitivity is the part the example-based ladder tests
-cannot cover."""
+axis) is bit-identical to independent ``validate=True`` reference builds
+of the same configs (every pass through the pass manager from a fresh
+baseline clone). This is the differential safety net behind the
+incremental engine's perf claims — order-insensitivity is the part the
+example-based ladder tests cannot cover."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -50,10 +51,9 @@ def test_random_ladder_delta_matches_cold(
     lax,
     default_inliner,
 ):
-    # fresh pipelines per example: bit-identity requires prefixes minted
+    # a fresh pipeline per example: bit-identity requires prefixes minted
     # inside this example's own id checkpoints
     delta = PibePipeline(small_kernel)
-    cold = PibePipeline(small_kernel, incremental=False)
     for budget in budgets:  # hypothesis shuffles the ladder order
         config = PibeConfig(
             defenses=defenses,
@@ -63,13 +63,13 @@ def test_random_ladder_delta_matches_cold(
             use_default_inliner=default_inliner,
         )
         with deterministic_build_ids():
-            d = delta.build_variant(config, small_profile, staged=True)
+            d = delta.build_variant(config, small_profile)
         with deterministic_build_ids():
-            c = cold.build_variant(config, small_profile, staged=True)
+            r = delta.build_variant(config, small_profile, validate=True)
         validate_module(d.module)
         assert module_fingerprint(
             d.module, include_sites=True
-        ) == module_fingerprint(c.module, include_sites=True)
-        assert format_module(d.module) == format_module(c.module)
+        ) == module_fingerprint(r.module, include_sites=True)
+        assert format_module(d.module) == format_module(r.module)
     assert delta.stats["prefix_delta_builds"] == len(budgets)
     assert len(delta._basis_memo) == 1

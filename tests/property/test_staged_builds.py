@@ -1,7 +1,8 @@
 """Property: for ANY (budget, defense) configuration the staged build —
 prefix cache, copy-on-write stamp and all — is bit-identical to the
-monolithic build of the same config. This is the differential-testing
-safety net behind the staged engine's perf claims."""
+``validate=True`` reference build of the same config, which runs every
+pass through the pass manager from a fresh baseline clone. This is the
+differential-testing safety net behind the staged engine's perf claims."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -58,12 +59,10 @@ def test_staged_matches_monolithic_for_any_config(
     )
     with deterministic_build_ids():
         mono = fresh_pipeline.build_variant(
-            config, small_profile, staged=False
+            config, small_profile, validate=True
         )
     with deterministic_build_ids():
-        staged = fresh_pipeline.build_variant(
-            config, small_profile, staged=True
-        )
+        staged = fresh_pipeline.build_variant(config, small_profile)
     validate_module(staged.module)
     assert module_fingerprint(
         staged.module, include_sites=True
