@@ -25,9 +25,7 @@ the paper only eyeballs:
 
 Output is a deterministic CSV (stable row order, shortest-round-trip
 floats — two runs over the same measurements are byte-identical) plus a
-rendered text/markdown report. ``repro sweep`` is the CLI; the 1-D
-:func:`repro.evaluation.sweeps.budget_sweep` survives as a thin wrapper
-sharing this module's cell dedup.
+rendered text/markdown report. ``repro sweep`` is the CLI.
 
 Scale economics: every (scale, seed) replica is its own
 :class:`EvalContext` (the seed feeds profiling *and* measurement, so a
