@@ -30,7 +30,7 @@ from repro.ir.types import (
 
 #: Serial for the `inl{N}.` label prefix of spliced callee blocks. A plain
 #: int (not itertools.count) so :func:`inline_serial_checkpoint` can save
-#: and restore it — differential staged-vs-monolithic builds need both
+#: and restore it — differential staged-vs-reference builds need both
 #: builds to mint identical labels.
 _inline_serial = 0
 

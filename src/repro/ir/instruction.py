@@ -53,7 +53,7 @@ def site_id_checkpoint() -> Iterator[int]:
     otherwise identical builds performed in one process normally receive
     different ids for the instructions they create (ICP guards, inline
     clones). Differential tests that require *bit-identical* output — the
-    staged-vs-monolithic build comparison — wrap each build in a
+    staged-vs-reference build comparison — wrap each build in a
     checkpoint so both allocate the same id sequence.
 
     Only safe when the modules built inside separate checkpoints are never
