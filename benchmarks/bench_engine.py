@@ -7,11 +7,22 @@ a fast engine that counts differently is wrong, not fast), and records
 wall time + events/sec to ``BENCH_engine.json`` at the repo root so the
 engine's perf trajectory is tracked across commits.
 
+The vectorized engine's timed window lasts only a few tens of
+milliseconds, so one window is at the mercy of scheduler noise. Each
+engine therefore runs ``REPETITIONS`` windows, interleaved across
+engines, and the speedups are medians of the per-window ratios.
+
 The vectorized engine carries a CI budget: at least
 ``MIN_VECTORIZED_SPEEDUP``× the reference interpreter's throughput.
+
+A profile arm collects the same workload's edge profile with a
+:class:`KernelProfiler` on the compiled engine (event by event) and on
+the vectorized engine (counting call edges). The digests must be equal;
+the seconds are recorded, with no budget.
 """
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -23,6 +34,7 @@ from repro.hardening.defenses import DefenseConfig
 from repro.hardening.harden import HardeningPass
 from repro.kernel.generator import build_kernel
 from repro.kernel.spec import SCALED_SPEC
+from repro.profiling.profiler import KernelProfiler
 from repro.workloads.lmbench import engine_workload
 
 RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
@@ -34,40 +46,73 @@ ALL_ENGINES = ("reference", "compiled", "vectorized")
 MIN_VECTORIZED_SPEEDUP = 10.0
 #: The compiled engine's long-standing (looser) budget.
 MIN_COMPILED_SPEEDUP = 1.2
+#: Timed windows per engine; the gates read the median ratio.
+REPETITIONS = 5
 
 
-def _run_engine(module, engine: str) -> dict:
-    """One full engine-workload pass; totals drawn from the counting sink.
+def _run_window(interp, workload, scale: bool) -> None:
+    """One pass of the workload: one op per bench, or all of them."""
+    for bench, ops in workload.components:
+        for syscall, times in bench.syscalls:
+            interp.run_syscall(syscall, times=times * ops if scale else times)
 
-    A one-op warm-up pass precedes the timed window so one-time program
+
+def _run_engines(module) -> dict:
+    """``REPETITIONS`` timed windows per engine; totals from the sinks.
+
+    A one-op warm-up pass precedes the timed windows so one-time program
     construction (compiled/vector programs are cached on the module, as
     in any real multi-measurement session) doesn't masquerade as
     per-event cost. Warm-up events stay in the sink's totals — they are
     identical across engines, so the differential gate still holds —
-    but throughput is computed from the timed window only.
+    but throughput is computed from the timed windows only. Window ``i``
+    runs on every engine back to back, so each per-window ratio compares
+    the same work under the same machine load.
     """
-    sink = CountingTimingModel(module)
-    interp = create_interpreter(module, [sink], seed=13, engine=engine)
     workload = engine_workload()
-    for bench, _ in workload.components:
-        for syscall, times in bench.syscalls:
-            interp.run_syscall(syscall, times=times)
-    warmup_events = sink.total_events
-    start = time.perf_counter()
-    for bench, ops in workload.components:
-        for syscall, times in bench.syscalls:
-            interp.run_syscall(syscall, times=times * ops)
-    seconds = time.perf_counter() - start
-    events = sink.total_events
-    timed_events = events - warmup_events
-    return {
-        "seconds": round(seconds, 4),
-        "events": events,
-        "timed_events": timed_events,
-        "cycles": round(sink.cycles, 3),
-        "events_per_sec": round(timed_events / seconds),
-        "_raw_seconds": seconds,
-    }
+    runs = {}
+    for engine in ALL_ENGINES:
+        sink = CountingTimingModel(module)
+        interp = create_interpreter(module, [sink], seed=13, engine=engine)
+        _run_window(interp, workload, scale=False)
+        runs[engine] = (sink, interp, sink.total_events, [])
+    for _ in range(REPETITIONS):
+        for engine in ALL_ENGINES:
+            sink, interp, _, seconds = runs[engine]
+            start = time.perf_counter()
+            _run_window(interp, workload, scale=True)
+            seconds.append(time.perf_counter() - start)
+    results = {}
+    for engine, (sink, _, warmup_events, seconds) in runs.items():
+        events = sink.total_events
+        timed_events = events - warmup_events
+        results[engine] = {
+            "seconds": round(statistics.median(seconds), 4),
+            "repetitions": REPETITIONS,
+            "events": events,
+            "timed_events": timed_events,
+            "cycles": round(sink.cycles, 3),
+            "events_per_sec": round(timed_events / sum(seconds)),
+            "_window_seconds": seconds,
+        }
+    return results
+
+
+def _profile_arm(module) -> dict:
+    """The workload's edge profile on the compiled and vectorized engines."""
+    workload = engine_workload()
+    arm = {}
+    for engine in ("compiled", "vectorized"):
+        profiler = KernelProfiler(workload=workload.name)
+        interp = create_interpreter(module, [profiler], seed=13, engine=engine)
+        start = time.perf_counter()
+        _run_window(interp, workload, scale=True)
+        profile = profiler.finish()
+        arm[engine] = {
+            "seconds": round(time.perf_counter() - start, 4),
+            "digest": profile.digest(),
+        }
+    return arm
 
 
 def test_engine_throughput():
@@ -75,7 +120,7 @@ def test_engine_throughput():
     HardeningPass(DefenseConfig.all_defenses()).run(module)
     module.bump_version()
 
-    results = {engine: _run_engine(module, engine) for engine in ALL_ENGINES}
+    results = _run_engines(module)
 
     # Differential gate: identical work under identical counting sinks.
     # Totals must match bit-for-bit before any number is recorded.
@@ -86,12 +131,22 @@ def test_engine_throughput():
 
     speedups = {
         engine: round(
-            reference["_raw_seconds"] / results[engine]["_raw_seconds"], 2
+            statistics.median(
+                ref / mine
+                for ref, mine in zip(
+                    reference["_window_seconds"],
+                    results[engine]["_window_seconds"],
+                )
+            ),
+            2,
         )
         for engine in ("compiled", "vectorized")
     }
     for engine in ALL_ENGINES:
-        del results[engine]["_raw_seconds"]
+        del results[engine]["_window_seconds"]
+
+    profile = _profile_arm(module)
+    assert profile["vectorized"]["digest"] == profile["compiled"]["digest"]
 
     record = {
         "benchmark": "engine_throughput",
@@ -103,6 +158,7 @@ def test_engine_throughput():
         "speedup_compiled": speedups["compiled"],
         "speedup_vectorized": speedups["vectorized"],
         "budget_vectorized": MIN_VECTORIZED_SPEEDUP,
+        "profile": profile,
     }
     stamp(record)
     write_record(RECORD_PATH, record)

@@ -459,8 +459,13 @@ class PibePipeline:
         seed: int = 3,
         engine: str = DEFAULT_ENGINE,
     ) -> EdgeProfile:
-        """Run the profiling build and return merged edge counts."""
-        profiling_build = clone_module(self.baseline)
+        """Run the profiling build and return merged edge counts.
+
+        Profiling never mutates IR, so the profiling build is a
+        copy-on-write clone; the engine programs compiled for it are
+        keyed to the clone and go with it.
+        """
+        profiling_build = clone_module(self.baseline, cow=True)
         return profile_workload(
             profiling_build,
             workload,

@@ -23,6 +23,11 @@ buckets and cycles are computed by the *single* canonical
 :func:`counting_cycles` formula (fixed iteration order), the resulting
 floats are bit-identical across engines — the property the differential
 tests in ``tests/engine/test_vectorized.py`` pin.
+
+A summary also carries three sparse *profile buckets* — per direct-call
+site, per (indirect site, target) and per function — which the cost model
+ignores. They let the vectorized engine deliver an edge profile to
+:class:`~repro.profiling.profiler.KernelProfiler` in the same batch.
 """
 
 from __future__ import annotations
@@ -48,6 +53,12 @@ class CountSummary:
     instruction totals, control-flow event counts, and per-defense-tag
     breakdowns for indirect calls, returns and indirect jumps. Summaries
     add; they never carry floats.
+
+    The profile buckets ``direct`` (call site id -> count), ``indirect``
+    ((icall site id, target) -> count) and ``invocations`` (function name
+    -> count) hold the call edges behind ``calls``, ``icalls`` and
+    ``enters``. Only :meth:`add`, :meth:`add_scaled` and equality see
+    them; cycles, counters, event totals and :meth:`as_dict` do not.
     """
 
     __slots__ = (
@@ -63,6 +74,9 @@ class CountSummary:
         "icalls",
         "rets",
         "ijumps",
+        "direct",
+        "indirect",
+        "invocations",
     )
 
     def __init__(self) -> None:
@@ -78,6 +92,9 @@ class CountSummary:
         self.icalls: Dict[IcallKey, int] = {}
         self.rets: Dict[Optional[str], int] = {}
         self.ijumps: Dict[Optional[str], int] = {}
+        self.direct: Dict[int, int] = {}
+        self.indirect: Dict[Tuple[int, str], int] = {}
+        self.invocations: Dict[str, int] = {}
 
     # -- algebra -----------------------------------------------------------
 
@@ -97,6 +114,7 @@ class CountSummary:
             self.rets[tag] = self.rets.get(tag, 0) + n
         for tag, n in other.ijumps.items():
             self.ijumps[tag] = self.ijumps.get(tag, 0) + n
+        self.add_profile(other, 1)
 
     def add_scaled(self, other: "CountSummary", k: int) -> None:
         """Accumulate ``k`` executions' worth of ``other`` — the pure-python
@@ -116,6 +134,16 @@ class CountSummary:
             self.rets[tag] = self.rets.get(tag, 0) + n * k
         for tag, n in other.ijumps.items():
             self.ijumps[tag] = self.ijumps.get(tag, 0) + n * k
+        self.add_profile(other, k)
+
+    def add_profile(self, other: "CountSummary", k: int) -> None:
+        """Accumulate ``k`` times ``other``'s profile buckets only."""
+        for site, n in other.direct.items():
+            self.direct[site] = self.direct.get(site, 0) + n * k
+        for edge, n in other.indirect.items():
+            self.indirect[edge] = self.indirect.get(edge, 0) + n * k
+        for name, n in other.invocations.items():
+            self.invocations[name] = self.invocations.get(name, 0) + n * k
 
     # -- views -------------------------------------------------------------
 

@@ -12,9 +12,17 @@ Superblocks
     Each function's CFG is partitioned into *superblocks*: maximal chains
     of blocks linked by unconditional control (``jmp``, and ``br`` whose
     outcome is statically known: ``p>=1``/``p<=0``). A chain's straight-
-    line instruction mix, branch executions and terminator events are
-    precomputed into one integer :class:`~repro.cpu.counting.CountSummary`
-    *row*; executing the chain is a single ``counts[row] += 1``.
+    line instruction mix, branch executions, direct calls (with their
+    call-site edges) and terminator events are precomputed into one
+    integer :class:`~repro.cpu.counting.CountSummary` *row*; executing
+    the chain is a single ``counts[row] += 1``.
+
+Profile edges
+    Rows also carry the summary's profile buckets, so a run yields an
+    edge profile along with its event totals: each chain row holds its
+    direct-call sites, each function has an enter row holding its
+    invocation, and each indirect call credits a row per (site, target),
+    created the first time that target is drawn.
 
 Deterministic-subtree folding
     A function whose entire execution consumes no randomness (no icalls,
@@ -31,15 +39,17 @@ Trip-loop collapse
 
 Count flush
     Per-row execution counts accumulate in a sparse vector local to the
-    interpreter; on flush (bound to the counting sink's property reads)
-    the dot product ``counts · rows`` is evaluated — with numpy as a
-    dense int64 matrix product when available, in pure python otherwise
-    — and delivered to every sink via ``absorb_counts``.
+    interpreter; on flush (bound to the counting sinks' reads) the dot
+    product ``counts · rows`` is evaluated and delivered to every sink
+    via ``absorb_counts``. A wide flush for a sink that reads the cost
+    buckets evaluates them as a dense int64 numpy matrix product
+    (numpy is imported on first use); everything else, and the profile
+    buckets always, accumulates sparsely in pure python.
 
 Everything the vector path cannot express falls back to exact-semantics
-execution: if any attached sink lacks ``supports_counts`` (profilers,
-stateful timing models, trace recorders need the real event stream), the
-run delegates wholesale to the compiled engine; inside the vector path,
+execution: if any attached sink lacks ``supports_counts`` (stateful
+timing models and trace recorders need the real event stream), the run
+delegates wholesale to the compiled engine; inside the vector path,
 depth-risky folded subtrees degrade to stepwise walking so limit errors
 surface exactly where the reference interpreter raises them.
 
@@ -64,7 +74,7 @@ from __future__ import annotations
 
 import weakref
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cpu.counting import CountSummary
 from repro.engine.behavior import LoopState, pick_index
@@ -88,15 +98,30 @@ from repro.engine.interpreter import ExecutionError
 from repro.ir.module import Module
 from repro.ir.types import ATTR_DEFENSE, ATTR_VCALL
 
-try:  # pragma: no cover - exercised via tests monkeypatching _np
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+_NOT_IMPORTED: Any = object()
+
+#: numpy, imported by the first dense flush (``None`` when it is not
+#: installed). Importing it costs every process ~60 ms and ~12 MB of RSS,
+#: and only wide counting flushes use it. Tests patch it to ``None`` to
+#: force the pure-python flush.
+_np: Any = _NOT_IMPORTED
+
+
+def _numpy() -> Any:
+    global _np
+    if _np is _NOT_IMPORTED:
+        try:
+            import numpy
+        except ImportError:  # pragma: no cover - numpy is an optional extra
+            numpy = None
+        _np = numpy
+    return _np
+
 
 # Walker step kinds (first element of a step tuple).
 VSTEP_CALL = 0  # (0, inst, callee_vfunc_or_None)
 VSTEP_CALL_DET = 1  # (1, inst, callee_vfunc, summary_row, charge, extra_depth)
-VSTEP_ICALL = 2  # (2, inst, site, dist, names, cum, total, icall_row)
+VSTEP_ICALL = 2  # (2, inst, site, dist, names, cum, total, key, edges)
 
 # Walker terminator kinds (first element of a term tuple).
 VT_RET = 0  # (0,)
@@ -172,6 +197,7 @@ class VectorFunction:
         "summary_row",
         "charge",
         "det_depth",
+        "enter_row",
     )
 
     def __init__(self, name: str, cfunc: CompiledFunction) -> None:
@@ -181,6 +207,7 @@ class VectorFunction:
         self.compiling = False
         self.entry: Optional[VectorNode] = None
         self.nodes: Dict[str, VectorNode] = {}
+        self.enter_row = -1
         self.det = False
         self.summary: Optional[CountSummary] = None
         self.summary_row: Optional[int] = None
@@ -208,10 +235,9 @@ class VectorProgram:
         self.version = version
         self.functions: Dict[str, VectorFunction] = {}
         self.rows: List[CountSummary] = []
-        self.op_row = self.add_row(_scalar_row("ops"))
-        self.enter_row = self.add_row(_scalar_row("enters"))
-        self.call_row = self.add_row(_scalar_row("calls"))
-        self._icall_rows: Dict[Tuple[Optional[str], bool], int] = {}
+        op = CountSummary()
+        op.ops = 1
+        self.op_row = self.add_row(op)
         # numpy flush cache: (n_rows, matrix, column spec)
         self._matrix: Optional[tuple] = None
 
@@ -221,14 +247,14 @@ class VectorProgram:
         self.rows.append(summary)
         return len(self.rows) - 1
 
-    def icall_row(self, key: Tuple[Optional[str], bool]) -> int:
-        row = self._icall_rows.get(key)
-        if row is None:
-            summary = CountSummary()
-            summary.icalls[key] = 1
-            row = self.add_row(summary)
-            self._icall_rows[key] = row
-        return row
+    def icall_edge_row(
+        self, key: Tuple[Optional[str], bool], site: Optional[int], target: str
+    ) -> int:
+        """A new row for one indirect call from ``site`` to ``target``."""
+        summary = CountSummary()
+        summary.icalls[key] = 1
+        summary.indirect[(site, target)] = 1
+        return self.add_row(summary)
 
     # -- functions ---------------------------------------------------------
 
@@ -249,12 +275,20 @@ class VectorProgram:
 
     # -- count materialization --------------------------------------------
 
-    def materialize(self, counts: Dict[int, int]) -> CountSummary:
-        """Evaluate ``Σ counts[i] × rows[i]`` as one :class:`CountSummary`."""
+    def materialize(
+        self, counts: Dict[int, int], dense: bool = True
+    ) -> CountSummary:
+        """Evaluate ``Σ counts[i] × rows[i]`` as one :class:`CountSummary`.
+
+        With ``dense`` a wide flush evaluates the cost buckets as a numpy
+        matrix product; pass ``False`` when only the profile buckets will
+        be read, which keeps numpy and the dense matrix out of the run.
+        """
         if (
-            _np is not None
+            dense
             and len(counts) >= _NUMPY_FLUSH_MIN_ROWS
             and max(counts.values()) < (1 << 53)
+            and _numpy() is not None
         ):
             return self._materialize_numpy(counts)
         total = CountSummary()
@@ -318,6 +352,10 @@ class VectorProgram:
             value = int(totals[base + j])
             if value:
                 getattr(out, bucket)[key] = value
+        rows = self.rows
+        for idx, n in counts.items():
+            if n:
+                out.add_profile(rows[idx], n)
         return out
 
     def __repr__(self) -> str:
@@ -326,12 +364,6 @@ class VectorProgram:
             f"<VectorProgram functions={ready}/{len(self.functions)} "
             f"rows={len(self.rows)} version={self.version}>"
         )
-
-
-def _scalar_row(slot: str) -> CountSummary:
-    summary = CountSummary()
-    setattr(summary, slot, 1)
-    return summary
 
 
 # -- compilation ------------------------------------------------------------
@@ -343,7 +375,10 @@ def _build_chain(cfunc: CompiledFunction, head: str):
     Returns ``(base_summary, charge, raw_steps, tail, chain_labels)``
     where ``tail`` is the compiled-level terminator descriptor the walker
     must still resolve at runtime: ``('ret'|'jmp'|'br'|'switch'|'ijump'|
-    'missing', compiled term tuple or label)``.
+    'missing', compiled term tuple or label)``. Every direct call in the
+    chain executes once per traversal, so the base summary already holds
+    its call and call-site edge; the step itself stays in ``raw_steps``
+    for the callee.
     """
     base = CountSummary()
     charge = 0
@@ -361,8 +396,12 @@ def _build_chain(cfunc: CompiledFunction, head: str):
                 base.store += step[3]
                 base.cmp += step[4]
                 base.fence += step[5]
-            else:
-                raw_steps.append(step)
+                continue
+            if step[0] == STEP_CALL:
+                site = step[1].site_id
+                base.calls += 1
+                base.direct[site] = base.direct.get(site, 0) + 1
+            raw_steps.append(step)
         charge += block.charge
         term = block.term
         kind = term[0]
@@ -403,6 +442,10 @@ def _compile_function(program: VectorProgram, vf: VectorFunction) -> None:
     """Build ``vf``'s superblock graph, fold what folds, classify."""
     vf.compiling = True
     try:
+        enter = CountSummary()
+        enter.enters = 1
+        enter.invocations[vf.name] = 1
+        vf.enter_row = program.add_row(enter)
         cfunc = vf.cfunc
         if cfunc.entry is None:
             vf.ready = True
@@ -471,7 +514,6 @@ def _compile_function(program: VectorProgram, vf: VectorFunction) -> None:
                             if fast is None:
                                 fast = CountSummary()
                                 fast.add(base)
-                            fast.calls += 1
                             fast.add(callee.summary)
                             fast_charge += callee.charge
                             need_depth = max(
@@ -495,7 +537,8 @@ def _compile_function(program: VectorProgram, vf: VectorFunction) -> None:
                             names,
                             cum,
                             total,
-                            program.icall_row(key),
+                            key,
+                            {},  # target -> (edge row, vfunc), as drawn
                         )
                     )
                     foldable = False
@@ -583,7 +626,7 @@ def _summarize(program: VectorProgram, vf: VectorFunction) -> bool:
     """Execute ``vf`` once symbolically (no RNG) to build its summary."""
     rows = program.rows
     summary = CountSummary()
-    summary.enters = 1
+    summary.add(rows[vf.enter_row])
     charge = 0
     det_depth = 0
     loops = LoopState()
@@ -671,15 +714,26 @@ class VectorizedInterpreter(CompiledInterpreter):
     under the other engines, per seed — proven by the differential tests.
     """
 
+    _vprogram: Optional[VectorProgram] = None
+    #: the sink list the current program was bound for
+    _vsinks: Optional[list] = None
+
     def run_function(self, name: str, times: int = 1) -> None:
         if name not in self.module:
             raise ExecutionError(f"unknown function {name!r}")
-        sinks = self.sinks
-        if not all(getattr(s, "supports_counts", False) for s in sinks):
-            # Somebody needs the real event stream: exact compiled replay.
-            super().run_function(name, times=times)
-            return
-        program = self._bind_program()
+        program = self._vprogram
+        if (
+            program is None
+            or self._vsinks != self.sinks
+            or program.version != getattr(self.module, "version", 0)
+        ):
+            if not all(
+                getattr(s, "supports_counts", False) for s in self.sinks
+            ):
+                # Somebody needs the real event stream: exact compiled replay.
+                super().run_function(name, times=times)
+                return
+            program = self._bind_program()
         self._last_target.clear()
         vfunc = program.resolve(name)
         program.ensure(vfunc)
@@ -693,12 +747,13 @@ class VectorizedInterpreter(CompiledInterpreter):
 
     def _bind_program(self) -> VectorProgram:
         program = vector_program(self.module)
-        if getattr(self, "_vprogram", None) is not program:
-            if getattr(self, "_vprogram", None) is not None:
+        if self._vprogram is not program:
+            if self._vprogram is not None:
                 # rows are about to change meaning: drain under old rows
                 self.flush_counts()
             self._vprogram = program
             self._vcounts: Dict[int, int] = defaultdict(int)
+        self._vsinks = list(self.sinks)
         for sink in self.sinks:
             bind = getattr(sink, "bind_flush", None)
             if bind is not None:
@@ -710,7 +765,10 @@ class VectorizedInterpreter(CompiledInterpreter):
         counts = getattr(self, "_vcounts", None)
         if not counts:
             return
-        summary = self._vprogram.materialize(counts)
+        dense = not all(
+            getattr(s, "counts_profile_only", False) for s in self.sinks
+        )
+        summary = self._vprogram.materialize(counts, dense=dense)
         counts.clear()
         for sink in self.sinks:
             absorb = getattr(sink, "absorb_counts", None)
@@ -761,12 +819,11 @@ class VectorizedInterpreter(CompiledInterpreter):
                         f"(runaway loop in @{vfunc.name}?)"
                     )
                 return
-        counts[program.enter_row] += 1
+        counts[vfunc.enter_row] += 1
         node = vfunc.entry
         if node is None:
             raise ValueError(f"function {vfunc.name!r} has no blocks")
         rand = rng.random
-        call_row = program.call_row
         loops: Optional[LoopState] = None
 
         while True:
@@ -777,11 +834,11 @@ class VectorizedInterpreter(CompiledInterpreter):
             else:
                 counts[node.base_row] += 1
                 self._steps += node.base_charge
+                # the base row holds every direct call's call-site edge
                 for step in node.steps:
                     kind = step[0]
                     if kind == VSTEP_CALL_DET:
                         if depth + step[5] <= max_depth:
-                            counts[call_row] += 1
                             counts[step[3]] += 1
                             self._steps += step[4]
                             if self._steps > max_steps:
@@ -792,7 +849,6 @@ class VectorizedInterpreter(CompiledInterpreter):
                             continue
                         # depth-risky fold: walk it so the limit error
                         # surfaces in exactly the right frame
-                        counts[call_row] += 1
                         self._execute_vector(
                             step[2], depth + 1, counts, rng,
                             max_depth, max_steps,
@@ -804,13 +860,14 @@ class VectorizedInterpreter(CompiledInterpreter):
                                 f"call to undefined @{step[1].callee} "
                                 f"in @{vfunc.name}"
                             )
-                        counts[call_row] += 1
                         self._execute_vector(
                             callee, depth + 1, counts, rng,
                             max_depth, max_steps,
                         )
                     else:  # VSTEP_ICALL
-                        _, inst, site, dist, names, cum, total, irow = step
+                        _, inst, site, dist, names, cum, total, key, edges = (
+                            step
+                        )
                         if not dist:
                             raise ExecutionError(
                                 f"icall without targets in @{vfunc.name}"
@@ -835,15 +892,21 @@ class VectorizedInterpreter(CompiledInterpreter):
                             target = names[pick_index(rng, cum, total)]
                         if site is not None:
                             last_target[site] = target
-                        vtarget = program.resolve(target)
-                        if vtarget is None:
-                            raise ExecutionError(
-                                f"icall resolved to undefined @{target} "
-                                f"in @{vfunc.name}"
+                        edge = edges.get(target)
+                        if edge is None:
+                            vtarget = program.resolve(target)
+                            if vtarget is None:
+                                raise ExecutionError(
+                                    f"icall resolved to undefined @{target} "
+                                    f"in @{vfunc.name}"
+                                )
+                            edge = edges[target] = (
+                                program.icall_edge_row(key, site, target),
+                                vtarget,
                             )
-                        counts[irow] += 1
+                        counts[edge[0]] += 1
                         self._execute_vector(
-                            vtarget, depth + 1, counts, rng,
+                            edge[1], depth + 1, counts, rng,
                             max_depth, max_steps,
                         )
             if self._steps > max_steps:

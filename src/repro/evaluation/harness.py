@@ -83,9 +83,12 @@ class EvalSettings:
     #: measures in *counting mode* (warm predictors, additive charges; see
     #: :mod:`repro.cpu.counting`): per-seed event totals still match the
     #: other engines exactly, but cycle totals follow the counting
-    #: semantics, so never mix engines within one comparison. Cache keys
-    #: include both ``ENGINE_VERSION`` and the engine name, which keeps
-    #: cached results from different semantics apart automatically.
+    #: semantics, so never mix engines within one comparison. Profiles are
+    #: identical on every engine; all but ``reference`` (the event-by-event
+    #: oracle) collect them by counting call edges on the vectorized
+    #: engine. Cache keys include both ``ENGINE_VERSION`` and the engine
+    #: name, which keeps cached results from different semantics apart
+    #: automatically.
     engine: str = DEFAULT_ENGINE
     #: Worker processes for :meth:`EvalContext.measure_many` (1 = inline).
     jobs: int = 1

@@ -350,7 +350,8 @@ def _add_engine_arg(parser, default=None) -> None:
         help=(
             "execution engine: reference (oracle), compiled (exact replay, "
             "default), vectorized (counting-mode batching — fastest, "
-            "measures warm-predictor cycles)"
+            "measures warm-predictor cycles); every engine but reference "
+            "collects profiles on the vectorized engine (same profiles)"
         ),
     )
 

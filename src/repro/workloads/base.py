@@ -8,7 +8,8 @@ profiling (the paper's LMBench and ApacheBench training workloads).
 ``measure_benchmark`` runs a benchmark against a (possibly hardened)
 module under the timing model and reports per-operation latency;
 ``profile_workload`` runs a workload against a profiling build and
-returns the merged edge profile (the paper merges 11 iterations).
+returns the merged edge profile (the paper merges 11 iterations),
+counting call edges on the vectorized engine.
 """
 
 from __future__ import annotations
@@ -197,7 +198,15 @@ def profile_workload(
     lbr_capacity: int = 32,
     engine: str = DEFAULT_ENGINE,
 ) -> EdgeProfile:
-    """Collect and merge edge profiles over ``iterations`` workload runs."""
+    """Collect and merge edge profiles over ``iterations`` workload runs.
+
+    An edge profile is a sum of call-edge counts, so it fits the
+    vectorized engine's counting contract: every engine but
+    ``reference`` (the event-by-event oracle) collects it there. Every
+    engine yields the same profile per seed.
+    """
+    if engine == "compiled":
+        engine = "vectorized"
     merged = EdgeProfile(workload=workload.name)
     for i in range(iterations):
         profiler = KernelProfiler(

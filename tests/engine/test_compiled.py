@@ -24,7 +24,7 @@ from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.kernel.generator import build_kernel
 from repro.kernel.spec import SmallSpec
-from repro.workloads.base import profile_workload
+from repro.profiling.profiler import KernelProfiler
 from repro.workloads.lmbench import lmbench_workload
 
 
@@ -84,22 +84,20 @@ def test_event_stream_equivalence_rich(seed):
 
 @pytest.mark.parametrize("seed", [3, 7])
 def test_kernel_profile_equivalence(seed):
-    """Same kernel, same workload, same seed -> bit-identical merged
-    EdgeProfiles from either engine (the acceptance bar for swapping the
-    production engine under the profiler)."""
+    """Same kernel, same workload, same seed -> bit-identical
+    EdgeProfiles from the profiler's event stream on either engine.
+
+    Drives :class:`KernelProfiler` directly: ``profile_workload`` routes
+    every engine but the reference to the vectorized one."""
     module = build_kernel(SmallSpec())
     workload = lmbench_workload()
-    profiles = {
-        engine: profile_workload(
-            module,
-            workload,
-            iterations=1,
-            seed=seed,
-            ops_scale=0.1,
-            engine=engine,
-        )
-        for engine in ("reference", "compiled")
-    }
+    profiles = {}
+    for engine in ("reference", "compiled"):
+        profiler = KernelProfiler(workload=workload.name)
+        interp = create_interpreter(module, [profiler], seed=seed, engine=engine)
+        for bench, ops in workload.components:
+            bench.run(interp, ops=max(1, int(ops * 0.1)))
+        profiles[engine] = profiler.finish()
     assert profiles["compiled"].to_dict() == profiles["reference"].to_dict()
 
 
