@@ -19,6 +19,13 @@ A profile arm collects the same workload's edge profile with a
 :class:`KernelProfiler` on the compiled engine (event by event) and on
 the vectorized engine (counting call edges). The digests must be equal;
 the seconds are recorded, with no budget.
+
+A timing arm runs the same workload under the stateful
+:class:`TimingModel` on three paths: the reference engine, the compiled
+engine's fused walker (a lone ``TimingModel``) and the compiled engine's
+generic replay (forced by a no-op second sink). Cycles, counters,
+defense charges and predictor statistics must be equal on all three;
+each path's median window seconds are recorded, with no budget.
 """
 
 import json
@@ -29,7 +36,9 @@ from pathlib import Path
 from _meta import stamp, write_record
 
 from repro.cpu.counting import CountingTimingModel
+from repro.cpu.timing import TimingModel
 from repro.engine.compiled import ENGINE_VERSION, create_interpreter
+from repro.engine.trace import TraceSink
 from repro.hardening.defenses import DefenseConfig
 from repro.hardening.harden import HardeningPass
 from repro.kernel.generator import build_kernel
@@ -48,6 +57,9 @@ MIN_VECTORIZED_SPEEDUP = 10.0
 MIN_COMPILED_SPEEDUP = 1.2
 #: Timed windows per engine; the gates read the median ratio.
 REPETITIONS = 5
+#: Paths of the timing arm: the reference engine, the compiled engine's
+#: fused walker, and its generic replay.
+TIMING_PATHS = ("reference", "compiled", "replay")
 
 
 def _run_window(interp, workload, scale: bool) -> None:
@@ -115,6 +127,65 @@ def _profile_arm(module) -> dict:
     return arm
 
 
+def _timing_state(sink: TimingModel) -> dict:
+    """What a stateful timing run produced: cycles, counters, defense
+    charges and predictor statistics."""
+    return {
+        "cycles": sink.cycles,
+        "counters": dict(sink.counters),
+        "defense_cycles": dict(sink.defense_cycles_charged),
+        "btb": [sink.btb.hits, sink.btb.misses],
+        "rsb": [
+            sink.rsb.hits,
+            sink.rsb.misses,
+            sink.rsb.underflows,
+            sink.rsb.overflow_drops,
+        ],
+        "icache": [
+            sink.icache.hits,
+            sink.icache.misses,
+            sink.icache.evictions,
+        ],
+    }
+
+
+def _timing_arm(module):
+    """The workload under a ``TimingModel`` on every timing path.
+
+    Same shape as :func:`_run_engines`: a one-op warm-up, then
+    ``REPETITIONS`` windows interleaved across paths. Returns the record
+    entry and each path's final sink state.
+    """
+    workload = engine_workload()
+    runs = {}
+    for path in TIMING_PATHS:
+        sink = TimingModel(module)
+        sinks = [sink, TraceSink()] if path == "replay" else [sink]
+        engine = "reference" if path == "reference" else "compiled"
+        interp = create_interpreter(module, sinks, seed=13, engine=engine)
+        _run_window(interp, workload, scale=False)
+        runs[path] = (sink, interp, [])
+    for _ in range(REPETITIONS):
+        for path in TIMING_PATHS:
+            _, interp, seconds = runs[path]
+            start = time.perf_counter()
+            _run_window(interp, workload, scale=True)
+            seconds.append(time.perf_counter() - start)
+    states = {path: _timing_state(runs[path][0]) for path in TIMING_PATHS}
+    arm = {
+        path: {
+            "seconds": round(statistics.median(runs[path][2]), 4),
+            "repetitions": REPETITIONS,
+        }
+        for path in TIMING_PATHS
+    }
+    arm["cycles"] = round(states["reference"]["cycles"], 3)
+    arm["equal"] = all(
+        states[path] == states["reference"] for path in TIMING_PATHS
+    )
+    return arm, states
+
+
 def test_engine_throughput():
     module = build_kernel(SCALED_SPEC)
     HardeningPass(DefenseConfig.all_defenses()).run(module)
@@ -148,6 +219,11 @@ def test_engine_throughput():
     profile = _profile_arm(module)
     assert profile["vectorized"]["digest"] == profile["compiled"]["digest"]
 
+    timing, timing_states = _timing_arm(module)
+    for path in ("compiled", "replay"):
+        assert timing_states[path] == timing_states["reference"], path
+    assert timing["equal"]
+
     record = {
         "benchmark": "engine_throughput",
         "engine_version": ENGINE_VERSION,
@@ -159,6 +235,7 @@ def test_engine_throughput():
         "speedup_vectorized": speedups["vectorized"],
         "budget_vectorized": MIN_VECTORIZED_SPEEDUP,
         "profile": profile,
+        "timing": timing,
     }
     stamp(record)
     write_record(RECORD_PATH, record)

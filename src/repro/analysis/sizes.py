@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.hardening.lowering import (
     THUNK_UNITS,
@@ -54,7 +54,10 @@ def text_size_bytes(module: Module) -> int:
 
 def mem_size_bytes(module: Module, page_bytes: int = MEM_PAGE_BYTES) -> int:
     """Resident kernel-code memory at startup (page-quantized text)."""
-    text = text_size_bytes(module)
+    return _page_quantized(text_size_bytes(module), page_bytes)
+
+
+def _page_quantized(text: int, page_bytes: int = MEM_PAGE_BYTES) -> int:
     return int(math.ceil(text / page_bytes)) * page_bytes
 
 
@@ -101,12 +104,14 @@ def size_report(
     lto_baseline: Module,
     unoptimized_same_config: Module,
     measured_dyn: "Optional[Tuple[float, float]]" = None,
+    text_size: Callable[[Module], int] = text_size_bytes,
 ) -> SizeReport:
     """Assemble one Table 12 row.
 
     ``measured_dyn`` optionally supplies dynamically measured peak-stack
     bytes as ``(variant, unoptimized)``; otherwise the static proxy is
-    used.
+    used. ``text_size`` computes a module's text size (a caller building
+    many rows over shared modules can pass a memoized one).
     """
 
     def rel(new: float, old: float) -> float:
@@ -119,18 +124,15 @@ def size_report(
             peak_stack_bytes(variant),
             peak_stack_bytes(unoptimized_same_config),
         )
+    variant_text = text_size(variant)
+    unoptimized_text = text_size(unoptimized_same_config)
     return SizeReport(
         label=label,
-        text_bytes=text_size_bytes(variant),
-        abs_size_increase=rel(
-            text_size_bytes(variant), text_size_bytes(lto_baseline)
-        ),
-        img_size_increase=rel(
-            text_size_bytes(variant),
-            text_size_bytes(unoptimized_same_config),
-        ),
+        text_bytes=variant_text,
+        abs_size_increase=rel(variant_text, text_size(lto_baseline)),
+        img_size_increase=rel(variant_text, unoptimized_text),
         mem_size_increase=rel(
-            mem_size_bytes(variant), mem_size_bytes(unoptimized_same_config)
+            _page_quantized(variant_text), _page_quantized(unoptimized_text)
         ),
         slab_size_increase=rel(
             slab_size_bytes(variant),

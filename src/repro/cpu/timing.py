@@ -5,6 +5,7 @@ per-defense flat charges (Table 1) and i-cache locality.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Dict, List, Optional, Tuple
 from weakref import WeakKeyDictionary
@@ -47,6 +48,22 @@ def _module_footprints(module: Module) -> Dict[str, int]:
     return entry[1]
 
 
+def _footprint(module: Module, name: str) -> int:
+    """Footprint of ``module``'s function ``name`` (an unknown name counts
+    as one instruction), memoized per module version."""
+    shared = _module_footprints(module)
+    fp = shared.get(name)
+    if fp is None:
+        func = module.functions.get(name)
+        fp = (
+            INSTRUCTION_SIZE_BYTES
+            if func is None
+            else function_footprint_bytes(func)
+        )
+        shared[name] = fp
+    return fp
+
+
 class TimingModel(TraceSink):
     """Cycle-accounting trace sink.
 
@@ -82,8 +99,10 @@ class TimingModel(TraceSink):
         self.rsb = RSB()
         self.icache: Optional[ICache] = None
         if model_icache:
+            # The callback closes over the module only: a bound method
+            # would make every model a reference cycle through its cache.
             self.icache = ICache(
-                footprint_of=self._footprint,
+                footprint_of=functools.partial(_footprint, module),
                 capacity_bytes=costs.icache_capacity_bytes,
                 line_bytes=costs.icache_line_bytes,
                 miss_base=costs.icache_miss_base,
@@ -114,21 +133,6 @@ class TimingModel(TraceSink):
     @property
     def total_defense_cycles(self) -> float:
         return sum(self.defense_cycles_charged.values())
-
-    # -- footprint resolution ---------------------------------------------
-
-    def _footprint(self, name: str) -> int:
-        shared = _module_footprints(self.module)
-        fp = shared.get(name)
-        if fp is None:
-            func = self.module.functions.get(name)
-            fp = (
-                INSTRUCTION_SIZE_BYTES
-                if func is None
-                else function_footprint_bytes(func)
-            )
-            shared[name] = fp
-        return fp
 
     # -- trace sink callbacks -----------------------------------------------
 

@@ -2,12 +2,14 @@
 
 Three tiers share one behavioural contract: the tree-walking reference
 :class:`Interpreter` (the semantic oracle), the precompiling
-:class:`CompiledInterpreter` (exact event replay), and the superblock
-:class:`VectorizedInterpreter` (counting-mode batching for counting
-sinks, with automatic fallback to compiled replay for sinks that need
-the real event stream). Select via :func:`create_interpreter`'s
-``engine=`` knob; per-seed stochastic paths — and therefore event and
-count totals — are identical across all three.
+:class:`CompiledInterpreter` (exact event replay, with a fused walker
+that charges a lone plain :class:`~repro.cpu.timing.TimingModel` inline,
+bit for bit), and the superblock :class:`VectorizedInterpreter`
+(counting-mode batching for counting sinks, with automatic fallback to
+the compiled engine for sinks that need the real event stream). Select
+via :func:`create_interpreter`'s ``engine=`` knob; per-seed stochastic
+paths — and therefore event and count totals — are identical across all
+three.
 """
 
 from repro.engine.behavior import (

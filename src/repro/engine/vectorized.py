@@ -96,7 +96,6 @@ from repro.engine.compiled import (
 )
 from repro.engine.interpreter import ExecutionError
 from repro.ir.module import Module
-from repro.ir.types import ATTR_DEFENSE, ATTR_VCALL
 
 _NOT_IMPORTED: Any = object()
 
@@ -424,14 +423,12 @@ def _build_chain(cfunc: CompiledFunction, head: str):
                 # spins until the step limit — reference semantics.
             return base, charge, raw_steps, ("br", term), chain
         if kind == TERM_RET:
-            base.rets[term[1].attrs.get(ATTR_DEFENSE)] = (
-                base.rets.get(term[1].attrs.get(ATTR_DEFENSE), 0) + 1
-            )
+            base.rets[term[2]] = base.rets.get(term[2], 0) + 1
             return base, charge, raw_steps, ("ret", term), chain
         if kind == TERM_SWITCH:
             return base, charge, raw_steps, ("switch", term), chain
         if kind == TERM_IJUMP:
-            tag = term[1].attrs.get(ATTR_DEFENSE)
+            tag = term[5]
             base.ijumps[tag] = base.ijumps.get(tag, 0) + 1
             return base, charge, raw_steps, ("ijump", term), chain
         # TERM_MISSING
@@ -523,11 +520,8 @@ def _compile_function(program: VectorProgram, vf: VectorFunction) -> None:
                     steps.append((VSTEP_CALL, inst, callee))
                     foldable = False
                 else:  # STEP_ICALL
-                    _, inst, site, dist, names, cum, total = step
-                    key = (
-                        inst.attrs.get(ATTR_DEFENSE),
-                        bool(inst.attrs.get(ATTR_VCALL)),
-                    )
+                    _, inst, site, dist, names, cum, total, tag, vcall = step
+                    key = (tag, vcall)
                     steps.append(
                         (
                             VSTEP_ICALL,

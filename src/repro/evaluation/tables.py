@@ -23,7 +23,7 @@ from repro.analysis.gadgets import (
     target_count_distribution,
 )
 from repro.analysis.robustness import workload_overlap
-from repro.analysis.sizes import SizeReport, size_report
+from repro.analysis.sizes import SizeReport, size_report, text_size_bytes
 from repro.core.config import PibeConfig
 from repro.core.report import build_overhead_report, geomean_overhead
 from repro.evaluation.formatting import Table, fmt_budget, pct, ticks, us
@@ -37,8 +37,8 @@ from repro.passes.inliner import InlineReport, PibeInliner
 from repro.profiling.profile_data import EdgeProfile
 from repro.workloads.lmbench import LMBENCH_BENCHMARKS, TABLE3_BENCHMARKS
 from repro.workloads.macro import ALL_MACROBENCHMARKS, measure_throughput
-from repro.workloads.microbench import CALL_KINDS, measure_ticks
-from repro.workloads.spec import geomean_slowdown, measure_spec_slowdown
+from repro.workloads.microbench import measure_all_ticks
+from repro.workloads.spec import geomean_slowdown, measure_all_spec_slowdowns
 
 #: Defense configurations in Table 1 row order.
 TABLE1_CONFIGS: List[Tuple[str, DefenseConfig]] = [
@@ -86,8 +86,14 @@ class Table1Result:
 def table1(iterations: int = 1000, spec_iterations: int = 40) -> Table1Result:
     """Overhead of control-flow hijacking mitigations in clock ticks per
     call kind, plus geometric-mean slowdown on the SPEC-like suite."""
-    all_ticks: Dict[str, Dict[str, float]] = {}
-    slowdowns: Dict[str, float] = {}
+    configs = dict(TABLE1_CONFIGS)
+    all_ticks = measure_all_ticks(configs, iterations=iterations)
+    slowdowns = {
+        label: geomean_slowdown(per_component)
+        for label, per_component in measure_all_spec_slowdowns(
+            configs, iterations=spec_iterations
+        ).items()
+    }
     table = Table(
         "Table 1: per-branch overhead (ticks) and SPEC-like slowdown",
         ["defense", "dcall", "icall", "vcall", "spec %"],
@@ -97,22 +103,13 @@ def table1(iterations: int = 1000, spec_iterations: int = 40) -> Table1Result:
             "16/16/16/23.2%, all 32/73/71/62.0%",
         ],
     )
-    for label, config in TABLE1_CONFIGS:
-        per_kind = {
-            kind: measure_ticks(config, kind, iterations=iterations)
-            for kind in CALL_KINDS
-        }
-        all_ticks[label] = per_kind
-        slow = geomean_slowdown(
-            measure_spec_slowdown(config, iterations=spec_iterations)
-        )
-        slowdowns[label] = slow
+    for label, per_kind in all_ticks.items():
         table.add_row(
             label,
             ticks(per_kind["dcall"]),
             ticks(per_kind["icall"]),
             ticks(per_kind["vcall"]),
-            pct(slow),
+            pct(slowdowns[label]),
         )
     return Table1Result(table, all_ticks, slowdowns)
 
@@ -674,17 +671,32 @@ def table12(ctx: EvalContext) -> Table12Result:
             "mem size moves in page-granular steps",
         ],
     )
+    # Rows share modules (the LTO baseline, each defense set's
+    # unoptimized variant): size and measure each one once.
+    text_sizes: Dict[Module, int] = {}
+    peak_stacks: Dict[Module, float] = {}
+
+    def text_size(module: Module) -> int:
+        size = text_sizes.get(module)
+        if size is None:
+            size = text_sizes[module] = text_size_bytes(module)
+        return size
+
     def measured_peak_stack(module: Module) -> float:
         from repro.analysis.stack import StackUsageTracker
         from repro.engine.compiled import create_interpreter
 
+        peak = peak_stacks.get(module)
+        if peak is not None:
+            return peak
         tracker = StackUsageTracker()
         interpreter = create_interpreter(
             module, [tracker], seed=ctx.settings.seed
         )
         for syscall in ("read", "open", "fork_exit", "select_tcp"):
             interpreter.run_syscall(syscall, times=20)
-        return float(tracker.peak_bytes)
+        peak = peak_stacks[module] = float(tracker.peak_bytes)
+        return peak
 
     for label, defenses, budget in rows:
         if defenses.retpolines and not defenses.ret_retpolines and not defenses.lvi_cfi:
@@ -704,6 +716,7 @@ def table12(ctx: EvalContext) -> Table12Result:
                 measured_peak_stack(variant),
                 measured_peak_stack(unopt),
             ),
+            text_size=text_size,
         )
         reports[label] = report
         table.add_row(

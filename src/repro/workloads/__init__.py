@@ -38,6 +38,7 @@ from repro.workloads.spec import (
     SpecComponent,
     build_spec_module,
     geomean_slowdown,
+    measure_all_spec_slowdowns,
     measure_spec_slowdown,
 )
 
@@ -64,6 +65,7 @@ __all__ = [
     "build_spec_module",
     "geomean_slowdown",
     "lmbench_workload",
+    "measure_all_spec_slowdowns",
     "measure_all_ticks",
     "measure_benchmark",
     "measure_benchmark_median",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.cpu.costs import DEFAULT_COSTS, CostModel
 from repro.cpu.timing import TimingModel
@@ -115,26 +115,56 @@ def measure_spec_slowdown(
     iterations: int = 60,
     costs: CostModel = DEFAULT_COSTS,
     components: Tuple[SpecComponent, ...] = SPEC_COMPONENTS,
+    baselines: Optional[Dict[str, float]] = None,
 ) -> Dict[str, float]:
-    """Per-component slowdown (fraction) of ``config`` vs uninstrumented."""
+    """Per-component slowdown (fraction) of ``config`` vs uninstrumented.
+
+    ``baselines`` lets a caller measuring several configs with the same
+    ``iterations``, ``costs`` and ``components`` measure each component's
+    unhardened baseline once: it maps a component name to its baseline
+    cycles and is filled on first use.
+    """
     costs = dataclasses.replace(costs, kernel_entry=0.0)
     baseline_module = build_spec_module(components)
     hardened_module = clone_module(baseline_module)
     HardeningPass(config).run(hardened_module)
     hardened_module.bump_version()
+    if baselines is None:
+        baselines = {}
 
     slowdowns: Dict[str, float] = {}
     for comp in components:
-        base = TimingModel(baseline_module, costs=costs, model_icache=False)
-        create_interpreter(baseline_module, [base], seed=9).run_function(
-            f"run_{comp.name}", times=iterations
-        )
+        entry = f"run_{comp.name}"
+        base = baselines.get(comp.name)
+        if base is None:
+            timing = TimingModel(
+                baseline_module, costs=costs, model_icache=False
+            )
+            create_interpreter(baseline_module, [timing], seed=9).run_function(
+                entry, times=iterations
+            )
+            base = baselines[comp.name] = timing.cycles
         hard = TimingModel(hardened_module, costs=costs, model_icache=False)
         create_interpreter(hardened_module, [hard], seed=9).run_function(
-            f"run_{comp.name}", times=iterations
+            entry, times=iterations
         )
-        slowdowns[comp.name] = hard.cycles / base.cycles - 1.0
+        slowdowns[comp.name] = hard.cycles / base - 1.0
     return slowdowns
+
+
+def measure_all_spec_slowdowns(
+    configs: Dict[str, DefenseConfig],
+    iterations: int = 60,
+) -> Dict[str, Dict[str, float]]:
+    """Config label -> per-component slowdown (Table 1 right side),
+    measuring each component's unhardened baseline once."""
+    baselines: Dict[str, float] = {}
+    return {
+        label: measure_spec_slowdown(
+            config, iterations=iterations, baselines=baselines
+        )
+        for label, config in configs.items()
+    }
 
 
 def geomean_slowdown(slowdowns: Dict[str, float]) -> float:
