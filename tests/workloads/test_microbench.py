@@ -73,3 +73,32 @@ def test_nontransient_defenses_are_cheap():
     )
     ticks = measure_ticks(cfi, "icall", iterations=300)
     assert 0 < ticks < 5
+
+
+def test_all_ticks_measure_each_baseline_once(monkeypatch):
+    """``measure_all_ticks`` runs each kind's unhardened baseline once,
+    and the shared baseline reads exactly like a freshly measured one."""
+    from repro.workloads import microbench
+
+    configs = {
+        "retpolines": DefenseConfig.retpolines_only(),
+        "all": DefenseConfig.all_defenses(),
+    }
+    fresh = {
+        label: {
+            kind: measure_ticks(config, kind, iterations=100)
+            for kind in CALL_KINDS
+        }
+        for label, config in configs.items()
+    }
+    runs = []
+    measure = microbench._measure_cycles
+
+    def counting_measure(module, *args):
+        runs.append(module.name)
+        return measure(module, *args)
+
+    monkeypatch.setattr(microbench, "_measure_cycles", counting_measure)
+    assert measure_all_ticks(configs, iterations=100) == fresh
+    # one baseline per kind plus one hardened run per (config, kind)
+    assert len(runs) == len(CALL_KINDS) * (1 + len(configs))

@@ -60,3 +60,29 @@ def test_vcall_heavy_components_hit_hardest_by_retpolines():
 def test_geomean_slowdown_math():
     assert geomean_slowdown({"a": 0.21, "b": 0.21}) == pytest.approx(0.21)
     assert geomean_slowdown({}) == 0.0
+
+
+def test_all_spec_slowdowns_measure_each_baseline_once(monkeypatch):
+    """``measure_all_spec_slowdowns`` runs each component's unhardened
+    baseline once; the result equals per-config fresh measurements."""
+    from repro.workloads import spec
+
+    configs = {
+        "retpolines": DefenseConfig.retpolines_only(),
+        "all": DefenseConfig.all_defenses(),
+    }
+    fresh = {
+        label: measure_spec_slowdown(config, iterations=4)
+        for label, config in configs.items()
+    }
+    models = []
+
+    class CountingModel(spec.TimingModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            models.append(self)
+
+    monkeypatch.setattr(spec, "TimingModel", CountingModel)
+    assert spec.measure_all_spec_slowdowns(configs, iterations=4) == fresh
+    # one baseline per component plus one hardened run per (config, comp)
+    assert len(models) == len(SPEC_COMPONENTS) * (1 + len(configs))
