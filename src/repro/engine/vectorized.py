@@ -62,7 +62,10 @@ pin this.
 
 Vector programs are cached per module and invalidated through the module
 ``version`` counter, exactly like compiled programs: hardening a variant
-bumps the version and every superblock summary is rebuilt.
+bumps the version and every superblock summary is rebuilt. Functions are
+lowered on first invocation, and lowering one compiles its compiled form
+on demand (:func:`~repro.engine.compiled.compile_function`), together
+with every direct callee it may fold.
 
 Errors abort a run just as in the other engines (same exception types
 and messages at the same RNG positions); counts flushed after an aborted
@@ -92,6 +95,7 @@ from repro.engine.compiled import (
     CompiledProgram,
     CompiledInterpreter,
     ENGINES,
+    compile_function,
     compiled_program,
 )
 from repro.engine.interpreter import ExecutionError
@@ -436,14 +440,21 @@ def _build_chain(cfunc: CompiledFunction, head: str):
 
 
 def _compile_function(program: VectorProgram, vf: VectorFunction) -> None:
-    """Build ``vf``'s superblock graph, fold what folds, classify."""
+    """Build ``vf``'s superblock graph, fold what folds, classify.
+
+    Compiles the function's :class:`CompiledFunction` first if no walker
+    has entered it yet, and (through :meth:`VectorProgram.ensure`) every
+    direct callee it may fold.
+    """
     vf.compiling = True
     try:
+        cfunc = vf.cfunc
+        if cfunc.entry is None:
+            compile_function(cfunc, program.cprogram.functions)
         enter = CountSummary()
         enter.enters = 1
         enter.invocations[vf.name] = 1
         vf.enter_row = program.add_row(enter)
-        cfunc = vf.cfunc
         if cfunc.entry is None:
             vf.ready = True
             return
