@@ -26,6 +26,7 @@ from repro.evaluation.cache import CACHE_DIR_NAME
 from repro.evaluation.harness import EvalContext, EvalSettings
 from repro.hardening.defenses import DefenseConfig
 from repro.kernel.spec import SmallSpec
+from repro.tools.cli import use_eval_gc_policy
 from repro.workloads.lmbench import TABLE3_BENCHMARKS
 
 
@@ -73,6 +74,8 @@ def _measured_configs():
 
 
 def main(argv=None):
+    if argv is None:  # run as the program: this process is ours
+        use_eval_gc_policy()
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--fast", action="store_true", help="reduced kernel and scales"

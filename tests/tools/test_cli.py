@@ -1,11 +1,13 @@
 """CLI toolchain: the full build -> profile -> optimize -> benchmark ->
 attack workflow through `python -m repro`."""
 
+import gc
 import json
+import sys
 
 import pytest
 
-from repro.tools.cli import build_parser, main
+from repro.tools.cli import EVAL_GC_THRESHOLDS, build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -203,11 +205,32 @@ def test_lint_rule_selection(kernel_file, capsys):
     assert "from 1 rule(s)" in out
 
 
-def test_lint_list_rules(capsys):
+@pytest.fixture
+def gc_thresholds():
+    """Distinct collector thresholds for the test; the host's own are
+    restored afterwards."""
+    saved = gc.get_threshold()
+    gc.set_threshold(701, 11, 11)
+    yield (701, 11, 11)
+    gc.set_threshold(*saved)
+
+
+def test_lint_list_rules(capsys, gc_thresholds):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
     assert "guard-chain-shape" in out
     assert "PIBE304" in out
+    # an in-process call leaves the host's collector alone
+    assert gc.get_threshold() == gc_thresholds
+
+
+def test_program_entry_installs_gc_policy(monkeypatch, capsys, gc_thresholds):
+    """Run as the program (no ``argv``), ``main`` installs the evaluation
+    GC policy before it does anything else."""
+    monkeypatch.setattr(sys, "argv", ["repro", "lint", "--list-rules"])
+    assert main() == 0
+    assert "PIBE304" in capsys.readouterr().out
+    assert gc.get_threshold() == EVAL_GC_THRESHOLDS != gc_thresholds
 
 
 def test_lint_fails_on_corrupted_image(workdir, hardened_file, capsys):
