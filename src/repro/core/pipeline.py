@@ -409,7 +409,7 @@ class PibePipeline:
         #: cache stats``)
         self.stats: Dict[str, int] = {
             "staged_builds": 0,
-            "monolithic_builds": 0,
+            "reference_builds": 0,
             "prefix_builds": 0,
             "prefix_delta_builds": 0,
             "prefix_memory_hits": 0,
@@ -504,7 +504,7 @@ class PibePipeline:
             )
         if not (validate or verify_each):
             return self._build_staged(config, profile)
-        self.stats["monolithic_builds"] += 1
+        self.stats["reference_builds"] += 1
         module = clone_module(self.baseline)
 
         passes: List[ModulePass] = [

@@ -101,7 +101,7 @@ def test_defense_sweep_shares_prefixes(small_kernel, small_profile):
     assert pipeline.stats["staged_builds"] == 5
     assert pipeline.stats["prefix_builds"] == 2
     assert pipeline.stats["prefix_memory_hits"] == 3
-    assert pipeline.stats["monolithic_builds"] == 0
+    assert pipeline.stats["reference_builds"] == 0
 
 
 def test_prefix_key_ignores_defense_selection():
@@ -129,13 +129,13 @@ def test_prefix_key_drops_budget_facets_when_unoptimized():
 
 
 def test_validate_mode_forces_monolithic(small_pipeline, small_profile):
-    before = small_pipeline.stats["monolithic_builds"]
+    before = small_pipeline.stats["reference_builds"]
     small_pipeline.build_variant(
         PibeConfig.lax(DefenseConfig.retpolines_only()),
         small_profile,
         validate=True,
     )
-    assert small_pipeline.stats["monolithic_builds"] == before + 1
+    assert small_pipeline.stats["reference_builds"] == before + 1
 
 
 def test_variant_reports_are_private(small_kernel, small_profile):

@@ -73,7 +73,7 @@ def test_delta_ladder_bit_identical_to_cold(
         ) == json.dumps(r.reports, default=repr, sort_keys=True)
     assert pipeline.stats["prefix_delta_builds"] == len(LADDER)
     assert pipeline.stats["prefix_builds"] == len(LADDER)
-    assert pipeline.stats["monolithic_builds"] == len(LADDER)
+    assert pipeline.stats["reference_builds"] == len(LADDER)
 
 
 def test_delta_default_inliner_bit_identical(small_kernel, small_profile):
