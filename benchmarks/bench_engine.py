@@ -26,6 +26,13 @@ engine's fused walker (a lone ``TimingModel``) and the compiled engine's
 generic replay (forced by a no-op second sink). Cycles, counters,
 defense charges and predictor statistics must be equal on all three;
 each path's median window seconds are recorded, with no budget.
+
+The record also holds the program's residency: the kernel's function
+count and how many of them the compiled program has compiled after the
+engine workload. The compiled engine compiles a function on first entry,
+so its warm-up pass is the first pass over a cold program; each engine's
+``warmup_seconds`` is recorded. CI asserts that fewer functions are
+compiled than exist.
 """
 
 import json
@@ -37,7 +44,11 @@ from _meta import stamp, write_record
 
 from repro.cpu.counting import CountingTimingModel
 from repro.cpu.timing import TimingModel
-from repro.engine.compiled import ENGINE_VERSION, create_interpreter
+from repro.engine.compiled import (
+    ENGINE_VERSION,
+    compiled_program,
+    create_interpreter,
+)
 from repro.engine.trace import TraceSink
 from repro.hardening.defenses import DefenseConfig
 from repro.hardening.harden import HardeningPass
@@ -86,20 +97,23 @@ def _run_engines(module) -> dict:
     for engine in ALL_ENGINES:
         sink = CountingTimingModel(module)
         interp = create_interpreter(module, [sink], seed=13, engine=engine)
+        start = time.perf_counter()
         _run_window(interp, workload, scale=False)
-        runs[engine] = (sink, interp, sink.total_events, [])
+        warmup = time.perf_counter() - start
+        runs[engine] = (sink, interp, sink.total_events, warmup, [])
     for _ in range(REPETITIONS):
         for engine in ALL_ENGINES:
-            sink, interp, _, seconds = runs[engine]
+            sink, interp, _, _, seconds = runs[engine]
             start = time.perf_counter()
             _run_window(interp, workload, scale=True)
             seconds.append(time.perf_counter() - start)
     results = {}
-    for engine, (sink, _, warmup_events, seconds) in runs.items():
+    for engine, (sink, _, warmup_events, warmup, seconds) in runs.items():
         events = sink.total_events
         timed_events = events - warmup_events
         results[engine] = {
             "seconds": round(statistics.median(seconds), 4),
+            "warmup_seconds": round(warmup, 4),
             "repetitions": REPETITIONS,
             "events": events,
             "timed_events": timed_events,
@@ -192,6 +206,10 @@ def test_engine_throughput():
     module.bump_version()
 
     results = _run_engines(module)
+    compiled_functions = sum(
+        cfunc.blocks is not None
+        for cfunc in compiled_program(module).functions.values()
+    )
 
     # Differential gate: identical work under identical counting sinks.
     # Totals must match bit-for-bit before any number is recorded.
@@ -229,6 +247,7 @@ def test_engine_throughput():
         "engine_version": ENGINE_VERSION,
         "kernel": "ScaledSpec",
         "functions": len(module.functions),
+        "compiled_functions": compiled_functions,
         "workload": "engine-mix",
         **{engine: results[engine] for engine in ALL_ENGINES},
         "speedup_compiled": speedups["compiled"],
