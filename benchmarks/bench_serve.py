@@ -55,7 +55,6 @@ from _meta import stamp, write_record
 from repro.core.config import PibeConfig
 from repro.evaluation.harness import EvalContext, EvalSettings
 from repro.hardening.defenses import DefenseConfig
-from repro.kernel.spec import SmallSpec
 from repro.serve.client import ServeClient
 from repro.serve.server import ReproServer, run_server
 
@@ -78,18 +77,10 @@ MIN_SPEEDUP = 5.0
 
 
 def bench_settings(fast: bool) -> EvalSettings:
-    """Must mirror ``repro serve`` / ``repro serve --fast``
-    (``_eval_settings`` in the CLI) exactly, so a load run against an
-    externally started server produces bit-identical numbers to the
-    inline oracle."""
-    if fast:
-        return EvalSettings(
-            spec=SmallSpec(),
-            profile_iterations=1,
-            profile_ops_scale=0.2,
-            measure_ops_scale=0.15,
-        )
-    return EvalSettings()
+    """The settings of ``repro serve`` / ``repro serve --fast``, so a
+    load run against an externally started server produces bit-identical
+    numbers to the inline oracle."""
+    return EvalSettings.fast() if fast else EvalSettings()
 
 
 def grid_cells() -> List[Tuple[PibeConfig, str]]:

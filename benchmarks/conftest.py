@@ -16,6 +16,7 @@ Environment knobs:
   unset or ``0`` disables).
 """
 
+import dataclasses
 import os
 
 import pytest
@@ -23,7 +24,6 @@ import pytest
 from repro.engine.compiled import DEFAULT_ENGINE
 from repro.evaluation.cache import CACHE_DIR_NAME
 from repro.evaluation.harness import EvalContext, EvalSettings
-from repro.kernel.spec import SmallSpec
 
 
 def _cache_dir():
@@ -38,14 +38,8 @@ def _settings() -> EvalSettings:
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1") or "1")
     cache_dir = _cache_dir()
     if os.environ.get("REPRO_BENCH_FAST"):
-        return EvalSettings(
-            spec=SmallSpec(),
-            profile_iterations=1,
-            profile_ops_scale=0.2,
-            measure_ops_scale=0.15,
-            engine=engine,
-            jobs=jobs,
-            cache_dir=cache_dir,
+        return dataclasses.replace(
+            EvalSettings.fast(), engine=engine, jobs=jobs, cache_dir=cache_dir
         )
     return EvalSettings(
         profile_iterations=3,

@@ -16,6 +16,7 @@ are identical, only wall time changes).
 """
 
 import argparse
+import dataclasses
 import sys
 import time
 
@@ -25,7 +26,6 @@ from repro.evaluation import tables
 from repro.evaluation.cache import CACHE_DIR_NAME
 from repro.evaluation.harness import EvalContext, EvalSettings
 from repro.hardening.defenses import DefenseConfig
-from repro.kernel.spec import SmallSpec
 from repro.tools.cli import use_eval_gc_policy
 from repro.workloads.lmbench import TABLE3_BENCHMARKS
 
@@ -99,21 +99,12 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    common = dict(
+    settings = dataclasses.replace(
+        EvalSettings.fast() if args.fast else EvalSettings(),
         engine=args.engine,
         jobs=args.jobs,
         cache_dir=None if args.no_cache else CACHE_DIR_NAME,
     )
-    if args.fast:
-        settings = EvalSettings(
-            spec=SmallSpec(),
-            profile_iterations=1,
-            profile_ops_scale=0.2,
-            measure_ops_scale=0.15,
-            **common,
-        )
-    else:
-        settings = EvalSettings(**common)
     ctx = EvalContext(settings)
 
     total_start = time.perf_counter()
@@ -128,26 +119,9 @@ def main(argv=None):
         elapsed = time.perf_counter() - total_start
         print(f"[measurements prefetched with {args.jobs} jobs in {elapsed:.1f}s]\n")
 
-    experiments = [
-        ("Figure 1", lambda: tables.figure1()),
-        ("Table 1", lambda: tables.table1()),
-        ("Table 2", lambda: tables.table2(ctx)),
-        ("Table 3", lambda: tables.table3(ctx)),
-        ("Table 4", lambda: tables.table4(ctx)),
-        ("Table 5", lambda: tables.table5(ctx)),
-        ("Table 6", lambda: tables.table6(ctx)),
-        ("Table 7", lambda: tables.table7(ctx)),
-        ("Table 8", lambda: tables.table8(ctx)),
-        ("Table 9", lambda: tables.table9(ctx)),
-        ("Table 10", lambda: tables.table10(ctx)),
-        ("Table 11", lambda: tables.table11(ctx)),
-        ("Table 12", lambda: tables.table12(ctx)),
-        ("Section 8.4", lambda: tables.robustness(ctx)),
-    ]
-
-    for label, run in experiments:
+    for _, label, run in tables.EXPERIMENTS:
         start = time.perf_counter()
-        result = run()
+        result = run(ctx)
         elapsed = time.perf_counter() - start
         print(result.table.to_text())
         print(f"[{label} regenerated in {elapsed:.1f}s]\n")

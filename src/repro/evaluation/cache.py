@@ -219,7 +219,9 @@ class DiskCache:
         }
 
     def disk_usage(self) -> Dict[str, Dict[str, int]]:
-        """On-disk entry counts and byte totals per kind (for the CLI).
+        """On-disk entry counts and byte totals per kind, quarantined
+        entries excluded (``repro cache stats`` and the serve ``stats``
+        op; see :meth:`quarantined`).
 
         Unlike :meth:`stats` (this process's counters), this inspects the
         directory, so it reflects entries written by other processes —
@@ -229,7 +231,7 @@ class DiskCache:
         if not self.root.is_dir():
             return usage
         for kind_dir in sorted(self.root.iterdir()):
-            if not kind_dir.is_dir():
+            if not kind_dir.is_dir() or kind_dir.name == QUARANTINE_DIR_NAME:
                 continue
             entries = 0
             size = 0
@@ -241,3 +243,8 @@ class DiskCache:
                 entries += 1
             usage[kind_dir.name] = {"entries": entries, "bytes": size}
         return usage
+
+    def quarantined(self) -> int:
+        """How many corrupt entries sit in the quarantine directory."""
+        qdir = self.quarantine_dir()
+        return sum(1 for _ in qdir.glob("*.json")) if qdir.is_dir() else 0

@@ -27,7 +27,6 @@ deliberately induced crashes, hangs and corruption.
 
 from __future__ import annotations
 
-import functools
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -61,7 +60,7 @@ from repro.evaluation.failures import (
 from repro.hardening.defenses import DefenseConfig
 from repro.ir.fingerprint import module_fingerprint
 from repro.kernel.generator import build_kernel
-from repro.kernel.spec import DEFAULT_SPEC, KernelSpec
+from repro.kernel.spec import DEFAULT_SPEC, KernelSpec, SmallSpec
 from repro.profiling.profile_data import EdgeProfile
 from repro.workloads.apachebench import apachebench_workload
 from repro.workloads.base import Benchmark, measure_benchmark
@@ -107,10 +106,13 @@ class EvalSettings:
 
     @classmethod
     def fast(cls) -> "EvalSettings":
-        """Reduced scale for tests."""
+        """The ``--fast`` scale of the CLI, the examples and the
+        benchmarks: the small kernel, one profiling iteration, reduced
+        op counts."""
         return cls(
+            spec=SmallSpec(),
             profile_iterations=1,
-            profile_ops_scale=0.3,
+            profile_ops_scale=0.2,
             measure_ops_scale=0.15,
         )
 
@@ -142,9 +144,12 @@ class EvalContext:
         # re-running ICP + inlining per variant.
         self.pipeline = PibePipeline(self.kernel, cache=self.cache)
         self._profiles: Dict[str, EdgeProfile] = {}
-        self._variants: Dict[str, BuildResult] = {}
-        self._measurements: Dict[str, Dict[str, float]] = {}
-        self._lints: Dict[str, object] = {}
+        # Every memo is keyed by cell_key(): the config value itself, so
+        # two configs that differ in any field never share an entry.
+        self._variants: Dict[Tuple, BuildResult] = {}
+        self._measurements: Dict[Tuple, Dict[str, float]] = {}
+        self._lints: Dict[Tuple, object] = {}
+        self._jumpswitches: Dict[Tuple, Dict[str, float]] = {}
         self._fingerprints: Dict[bool, str] = {}
         # Persistent worker pool: created on the first parallel
         # measure_many and reused by every later call (the serve layer
@@ -252,7 +257,7 @@ class EvalContext:
     def variant(
         self, config: PibeConfig, workload_name: str = "lmbench"
     ) -> BuildResult:
-        key = f"{config.label()}@{workload_name if config.optimized else '-'}"
+        key = cell_key(config, workload_name)
         cached = self._variants.get(key)
         if cached is not None:
             return cached
@@ -260,6 +265,18 @@ class EvalContext:
         build = self.pipeline.build_variant(config, profile)
         self._variants[key] = build
         return build
+
+    def security(
+        self, config: PibeConfig, workload_name: str = "lmbench"
+    ) -> "SecurityMetrics":  # noqa: F821 — imported lazily below
+        """Residual-target security metrics of a variant (the sweep's
+        security axis). Not memoized: the variant already is, and the
+        points-to analysis memoizes per module."""
+        from repro.analysis.security import security_metrics
+
+        return security_metrics(
+            self.variant(config, workload_name).module, label=config.label()
+        )
 
     def prewarm_prefixes(
         self,
@@ -384,9 +401,7 @@ class EvalContext:
         content-addressed.
         """
         self._check_open()
-        rule_key = ",".join(rules) if rules else "*"
-        workload = workload_name if config.optimized else "-"
-        key = f"{config.label()}@{workload}|{rule_key}"
+        key = cell_key(config, workload_name, tuple(rules) if rules else None)
         cached = self._lints.get(key)
         if cached is not None:
             return cached
@@ -459,16 +474,6 @@ class EvalContext:
 
     # -- measurements -------------------------------------------------------------
 
-    def _measure_key(
-        self,
-        config: PibeConfig,
-        benches: Tuple[Benchmark, ...],
-        workload_name: str,
-    ) -> str:
-        bench_key = ",".join(b.name for b in benches)
-        workload = workload_name if config.optimized else "-"
-        return f"{config.label()}@{workload}|{bench_key}"
-
     def _measure_disk_key(
         self,
         config: PibeConfig,
@@ -515,7 +520,7 @@ class EvalContext:
         the event loop, everything else is dispatched to the worker pool.
         """
         benches = tuple(benches)
-        key = self._measure_key(config, benches, workload_name)
+        key = cell_key(config, workload_name, bench_names(benches))
         cached = self._measurements.get(key)
         if cached is not None:
             return cached
@@ -536,7 +541,7 @@ class EvalContext:
     ) -> Dict[str, float]:
         """Per-benchmark cycles/op for a configuration (cached)."""
         benches = tuple(benches)
-        key = self._measure_key(config, benches, workload_name)
+        key = cell_key(config, workload_name, bench_names(benches))
         cached = self._measurements.get(key)
         if cached is not None:
             return cached
@@ -596,24 +601,21 @@ class EvalContext:
         """
         configs = list(configs)
         benches = tuple(benches)
-        s = self.settings
-        if any(
-            self._measure_key(c, benches, workload_name)
-            not in self._measurements
-            for c in configs
-        ):
+        names = bench_names(benches)
+        keys = [cell_key(c, workload_name, names) for c in configs]
+        pending = [i for i, key in enumerate(keys) if key not in self._measurements]
+        if pending:
             self._check_open()
+        s = self.settings
         jobs = s.jobs if jobs is None else jobs
         max_retries = s.max_retries if max_retries is None else max_retries
         cell_timeout = s.cell_timeout if cell_timeout is None else cell_timeout
         report = FailureReport(total_cells=len(configs))
-        keys = [self._measure_key(c, benches, workload_name) for c in configs]
-
-        pending = [i for i in range(len(configs)) if keys[i] not in self._measurements]
         if pending and jobs > 1 and len(pending) > 1:
             self._measure_cells_parallel(
                 pending,
                 configs,
+                keys,
                 benches,
                 workload_name,
                 jobs,
@@ -627,9 +629,7 @@ class EvalContext:
                     i, configs[i], benches, workload_name, max_retries, report
                 )
 
-        results = MeasureManyResult(
-            self._measurements.get(keys[i]) for i in range(len(configs))
-        )
+        results = MeasureManyResult(self._measurements.get(key) for key in keys)
         results.failure_report = report
         return results
 
@@ -735,6 +735,7 @@ class EvalContext:
         self,
         pending: List[int],
         configs: List[PibeConfig],
+        keys: List[Tuple],
         benches: Tuple[Benchmark, ...],
         workload_name: str,
         jobs: int,
@@ -827,9 +828,7 @@ class EvalContext:
                     except Exception:  # noqa: BLE001
                         retry.append((i, KIND_EXCEPTION))
                     else:
-                        self._measurements[
-                            self._measure_key(configs[i], benches, workload_name)
-                        ] = values
+                        self._measurements[keys[i]] = values
                 if broken:
                     # One dead worker poisons the whole executor: every
                     # in-flight future is lost. Rebuild once and resubmit
@@ -870,9 +869,8 @@ class EvalContext:
     ) -> Dict[str, float]:
         """JumpSwitches baseline: retpolines image, runtime promotion."""
         benches = tuple(benches)
-        bench_key = ",".join(b.name for b in benches)
-        key = f"jumpswitches|{bench_key}"
-        cached = self._measurements.get(key)
+        key = (params, bench_names(benches))
+        cached = self._jumpswitches.get(key)
         if cached is not None:
             return cached
         s = self.settings
@@ -892,7 +890,7 @@ class EvalContext:
             entry = self.cache.get("measure", disk_key)
             if entry is not None:
                 results = {name: float(v) for name, v in entry.items()}
-                self._measurements[key] = results
+                self._jumpswitches[key] = results
                 return results
         build = self.variant(
             PibeConfig.hardened(DefenseConfig.retpolines_only())
@@ -908,7 +906,7 @@ class EvalContext:
             results[bench.name] = timing.cycles / ops
         if self.cache is not None and disk_key is not None:
             self.cache.put("measure", disk_key, results)
-        self._measurements[key] = results
+        self._jumpswitches[key] = results
         return results
 
     # -- common baselines ---------------------------------------------------------
@@ -919,9 +917,29 @@ class EvalContext:
         return self.measure(PibeConfig.lto_baseline(), benches)
 
 
+def cell_key(config: PibeConfig, workload_name: str, *selection) -> Tuple:
+    """The one key of an evaluation cell.
+
+    The frozen config value itself — every field, where ``label()``
+    drops the Rule 2/3 thresholds, ``run_dce`` and the non-transient
+    defenses of an all-defenses config — plus the training workload
+    (``"-"`` for a config that consumes no profile) and whatever
+    selects within the cell: bench names for a measurement, the rule
+    selection for a lint. Every :class:`EvalContext` memo and the
+    server's single-flight are keyed by it.
+    """
+    return (config, workload_name if config.optimized else "-") + selection
+
+
+def bench_names(benches: Sequence[Benchmark]) -> Tuple[str, ...]:
+    """The bench selection part of a measurement's :func:`cell_key`."""
+    return tuple(b.name for b in benches)
+
+
 def cell_label(config: PibeConfig, workload_name: str) -> str:
     """The label a measurement cell carries at the ``measure.cell``
-    injection point and in :class:`FailureReport` entries."""
+    injection point and in :class:`FailureReport` entries: for humans
+    and fault plans, never a memo key (see :func:`cell_key`)."""
     return f"{config.label()}@{workload_name}"
 
 
@@ -992,10 +1010,3 @@ def _lint_shard_cell(cell):
     )
     rule_names, func_names = shard
     return run_shard(build.module, profile, rule_names, func_names)
-
-
-@functools.lru_cache(maxsize=2)
-def get_context(fast: bool = False) -> EvalContext:
-    """Process-wide shared context (benchmarks in one pytest session reuse
-    the same kernel/profile/measurement caches)."""
-    return EvalContext(EvalSettings.fast() if fast else EvalSettings())

@@ -130,6 +130,14 @@ class SweepGrid:
                 raise ValueError(
                     f"budget {budget!r} out of range: must be in (0, 1]"
                 )
+        # A repeat is the only way two grid cells could share a config
+        # (or a row): grid configs always set budgets, so none equals
+        # the LTO baseline either, and no dedup layer is needed.
+        if len(set(self.budgets)) < len(self.budgets):
+            raise ValueError(f"repeated budget in {self.budgets!r}")
+        labels = [d.label() for d in self.defenses]
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"repeated defense label in {labels!r}")
         for workload in self.workloads:
             if workload not in KNOWN_WORKLOADS:
                 raise ValueError(
@@ -249,61 +257,6 @@ def grid_from_spec(spec: str) -> SweepGrid:
     )
 
 
-# -- cell dedup ---------------------------------------------------------------
-
-
-@dataclass
-class DedupedMeasurements:
-    """Per-input measurement results after semantic-key dedup.
-
-    ``results`` is fanned back out to input order (failed cells are
-    ``None``); ``cells_evaluated`` counts the *unique* cells that
-    actually reached ``measure_many``.
-    """
-
-    results: List[Optional[Dict[str, float]]]
-    cells_requested: int
-    cells_evaluated: int
-
-    @property
-    def dedup_hits(self) -> int:
-        return self.cells_requested - self.cells_evaluated
-
-
-def measure_deduped(
-    ctx: EvalContext,
-    configs: Sequence[PibeConfig],
-    benches: Sequence[Benchmark],
-    workload_name: str = "lmbench",
-    jobs: Optional[int] = None,
-) -> DedupedMeasurements:
-    """Measure ``configs``, collapsing semantically equal cells first.
-
-    :class:`PibeConfig` is a frozen value type, so config equality *is*
-    the semantic cell key (same defenses, budgets, heuristics ->
-    same measurement). Duplicate grid points — a repeated budget, a
-    swept config that collides with a reference config — are measured
-    once and the shared result fanned back out to every requester.
-    """
-    configs = list(configs)
-    unique: List[PibeConfig] = []
-    index_of: Dict[PibeConfig, int] = {}
-    slot: List[int] = []
-    for config in configs:
-        idx = index_of.get(config)
-        if idx is None:
-            idx = len(unique)
-            index_of[config] = idx
-            unique.append(config)
-        slot.append(idx)
-    measured = ctx.measure_many(unique, benches, workload_name, jobs=jobs)
-    return DedupedMeasurements(
-        results=[measured[i] for i in slot],
-        cells_requested=len(configs),
-        cells_evaluated=len(unique),
-    )
-
-
 # -- result containers --------------------------------------------------------
 
 
@@ -371,7 +324,7 @@ class SweepRunResult:
     grid: SweepGrid
     cells: List[SweepCell]
     crossovers: List[Crossover] = field(default_factory=list)
-    #: run accounting (cell/dedup counters, pipeline + cache stats);
+    #: run accounting (cell counters, pipeline + cache stats);
     #: *not* part of the deterministic CSV/report output
     stats: Dict[str, Any] = field(default_factory=dict)
 
@@ -588,13 +541,23 @@ def run_sweep(
     kernels: Optional[Dict[str, "Module"]] = None,  # noqa: F821
     prewarm: bool = True,
     security: bool = True,
+    client: Optional["ServeClient"] = None,  # noqa: F821
 ) -> SweepRunResult:
-    """Measure the grid locally and return the aggregated result.
+    """Measure the grid and return the aggregated result.
 
-    One :class:`EvalContext` per (scale, seed) replica; all replicas of
-    one scale share the built kernel, and every context shares
-    ``settings.cache_dir``, so staged prefixes and measurements persist
-    across replicas and across repeated runs (the warm path).
+    Locally, one :class:`EvalContext` runs per (scale, seed) replica; all
+    replicas of one scale share the built kernel, and every context
+    shares ``settings.cache_dir``, so staged prefixes and measurements
+    persist across replicas and across repeated runs (the warm path).
+
+    With ``client`` (a connected ``repro serve`` client) the same grid
+    runs against the server instead: measurements go through its
+    ``measure_many`` op and security metrics through its ``security``
+    op, so a long-lived server amortizes the build work across sweeps.
+    The server owns one kernel and one seed, so the grid's scales
+    collapse to ``"serve"`` and its seeds to 1 (a note is logged when
+    the grid asked for more); ``settings``, ``jobs``, ``kernels`` and
+    ``prewarm`` are then unused.
 
     With ``prewarm`` (and a disk cache plus ``jobs > 1``), each workload
     group's distinct cold optimized prefixes are built in parallel ahead
@@ -603,7 +566,7 @@ def run_sweep(
     as disk hits instead of serializing the cold builds.
 
     ``security=False`` skips the residual-target security attachment
-    (which rebuilds every seed-0 variant in this process for analysis) —
+    (which builds every seed-0 variant in this process for analysis) —
     for overhead-only sweeps and build-phase benchmarks.
 
     ``kernels`` optionally maps scale names to prebuilt modules. Kernel
@@ -617,128 +580,57 @@ def run_sweep(
     settings = settings or EvalSettings()
     benches = tuple(benches) if benches is not None else tuple(LMBENCH_BENCHMARKS)
     say = log or (lambda message: None)
+    scales, seeds = grid.scales, grid.seeds
+    if client is not None:
+        if len(scales) > 1 or seeds > 1:
+            say(
+                "connect mode: the server has one kernel and one seed — "
+                f"collapsing scales={scales} seeds={seeds} to "
+                "scale='serve', seeds=1"
+            )
+        scales, seeds = ("serve",), 1
 
+    points = [(d, b) for d in grid.defenses for b in grid.budgets]
     cells: Dict[Tuple[str, str, str, float], SweepCell] = {}
-    for scale in grid.scales:
+    for scale in scales:
         for workload in grid.workloads:
-            for defense in grid.defenses:
-                for budget in grid.budgets:
-                    cell = SweepCell(
-                        scale, workload, defense.label(), budget
-                    )
-                    cells[cell.key] = cell
-
+            for defense, budget in points:
+                cell = SweepCell(scale, workload, defense.label(), budget)
+                cells[cell.key] = cell
     stats: Dict[str, Any] = {
         "cells_requested": 0,
-        "cells_evaluated": 0,
-        "dedup_hits": 0,
         "contexts": 0,
         "failed_cells": 0,
     }
-    pipeline_stats: Dict[str, int] = {}
-    cache_hits = cache_misses = 0
 
-    for scale in grid.scales:
-        spec = SCALE_SPECS[scale]
-        kernel = (kernels or {}).get(scale)
-        if kernel is None:
-            kernel = build_kernel(spec)
-        for replica in range(grid.seeds):
-            seed = grid.seed_base + replica
-            replica_settings = dataclasses.replace(
-                settings, spec=spec, seed=seed
-            )
-            say(f"scale={scale} seed={seed}: measuring "
-                f"{len(grid.workloads)} workload group(s)")
-            with EvalContext(replica_settings, kernel=kernel) as ctx:
-                stats["contexts"] += 1
-                for workload in grid.workloads:
-                    configs = [PibeConfig.lto_baseline()]
-                    keys: List[Tuple[str, str, str, float]] = []
-                    for defense in grid.defenses:
-                        for budget in grid.budgets:
-                            configs.append(grid.config(defense, budget))
-                            keys.append(
-                                (scale, workload, defense.label(), budget)
-                            )
-                    if prewarm:
-                        warmed = ctx.prewarm_prefixes(
-                            configs, workload, jobs=jobs
-                        )
-                        if warmed:
-                            say(
-                                f"scale={scale} seed={seed} "
-                                f"workload={workload}: prewarmed "
-                                f"{warmed} prefix(es)"
-                            )
-                    deduped = measure_deduped(
-                        ctx, configs, benches, workload, jobs=jobs
+    def run_replica(scale: str, measure, secure) -> None:
+        """Every workload group of one replica. ``measure(configs,
+        workload)`` returns per-config results (``None`` = failed cell);
+        ``secure(config, workload)`` returns the variant's security
+        metrics, and is ``None`` on all but the first replica."""
+        for workload in grid.workloads:
+            configs = [PibeConfig.lto_baseline()]
+            configs.extend(grid.config(d, b) for d, b in points)
+            results = measure(configs, workload)
+            stats["cells_requested"] += len(configs)
+            baseline = results[0]
+            for (defense, budget), config, values in zip(
+                points, configs[1:], results[1:]
+            ):
+                cell = cells[(scale, workload, defense.label(), budget)]
+                if baseline is None or values is None:
+                    cell.geomeans.append(None)
+                    stats["failed_cells"] += 1
+                else:
+                    cell.geomeans.append(
+                        build_overhead_report(
+                            cell.defense, baseline, values
+                        ).geomean
                     )
-                    stats["cells_requested"] += deduped.cells_requested
-                    stats["cells_evaluated"] += deduped.cells_evaluated
-                    stats["dedup_hits"] += deduped.dedup_hits
-                    baseline = deduped.results[0]
-                    for key, values in zip(keys, deduped.results[1:]):
-                        cell = cells[key]
-                        if baseline is None or values is None:
-                            cell.geomeans.append(None)
-                            stats["failed_cells"] += 1
-                            continue
-                        cell.geomeans.append(
-                            build_overhead_report(
-                                cell.defense, baseline, values
-                            ).geomean
-                        )
-                if replica == 0 and security:
-                    _attach_security(ctx, grid, scale, cells, say)
-                for key, value in ctx.pipeline.stats.items():
-                    pipeline_stats[key] = pipeline_stats.get(key, 0) + value
-                if ctx.cache is not None:
-                    snapshot = ctx.cache.stats()
-                    cache_hits += snapshot.get("hits", 0)
-                    cache_misses += snapshot.get("misses", 0)
-
-    for cell in cells.values():
-        cell.aggregate()
-    ordered = [cells[key] for key in sorted(cells)]
-    mark_pareto_frontier(ordered)
-    stats["pipeline"] = {k: pipeline_stats[k] for k in sorted(pipeline_stats)}
-    stats["disk_cache"] = {"hits": cache_hits, "misses": cache_misses}
-    return SweepRunResult(
-        grid=grid,
-        cells=ordered,
-        crossovers=find_crossovers(ordered, grid),
-        stats=stats,
-    )
-
-
-def _attach_security(
-    ctx: EvalContext,
-    grid: SweepGrid,
-    scale: str,
-    cells: Dict[Tuple[str, str, str, float], SweepCell],
-    say: Callable[[str], None],
-) -> None:
-    """Residual-target metrics per variant, from the seed-0 replica.
-
-    The security surface of a variant is a function of its built module,
-    not of the measurement seed, so one replica's builds (cheap: staged
-    prefixes are already memoized from the measurement pass on fork
-    platforms, or rebuilt once here) serve the whole cell.
-    """
-    from repro.analysis.security import security_metrics
-
-    for workload in grid.workloads:
-        for defense in grid.defenses:
-            for budget in grid.budgets:
-                key = (scale, workload, defense.label(), budget)
-                cell = cells[key]
-                config = grid.config(defense, budget)
+                if secure is None:
+                    continue
                 try:
-                    build = ctx.variant(config, workload)
-                    metrics = security_metrics(
-                        build.module, label=config.label()
-                    )
+                    metrics = secure(config, workload)
                 except Exception as exc:  # noqa: BLE001 — cell keeps a gap
                     say(f"security metrics failed for {config.label()}: "
                         f"{type(exc).__name__}: {exc}")
@@ -747,98 +639,83 @@ def _attach_security(
                 cell.residual_total = metrics.residual_total
                 cell.residual_mean = metrics.residual_mean
 
+    if client is not None:
+        from types import SimpleNamespace
 
-def run_sweep_connected(
-    grid: SweepGrid,
-    client: "ServeClient",  # noqa: F821 — imported lazily below
-    benches: Optional[Sequence[str]] = None,
-    log: Optional[Callable[[str], None]] = None,
-) -> SweepRunResult:
-    """Measure the grid against a running ``repro serve`` instance.
+        def measure_served(configs, workload):
+            say(f"workload={workload}: measure_many over "
+                f"{len(configs)} cell(s)")
+            return client.measure_many(
+                configs, benches=[b.name for b in benches], workload=workload
+            )["results"]
 
-    The server owns one kernel and one seed, so the grid's ``scales``
-    collapse to the single scale ``"serve"`` and ``seeds`` to 1 (a note
-    is logged when the grid asked for more). Measurements go through
-    ``measure_many`` requests (deduped client-side first); security
-    metrics come from the server's ``security`` op, so connect mode
-    reuses its warm variants instead of rebuilding locally.
-    """
-    say = log or (lambda message: None)
-    if len(grid.scales) > 1 or grid.seeds > 1:
-        say(
-            "connect mode: the server has one kernel and one seed — "
-            f"collapsing scales={grid.scales} seeds={grid.seeds} to "
-            "scale='serve', seeds=1"
+        def secure_served(config, workload):
+            metrics = client.security(config, workload)["metrics"]
+            return SimpleNamespace(**metrics)
+
+        run_replica(
+            "serve", measure_served, secure_served if security else None
         )
-    bench_names = list(benches) if benches is not None else None
-    scale = "serve"
-
-    cells: List[SweepCell] = []
-    cells_requested = cells_evaluated = 0
-    for workload in grid.workloads:
-        configs = [PibeConfig.lto_baseline()]
-        cell_group: List[SweepCell] = []
-        for defense in grid.defenses:
-            for budget in grid.budgets:
-                configs.append(grid.config(defense, budget))
-                cell_group.append(
-                    SweepCell(scale, workload, defense.label(), budget)
+        stats["connected"] = True
+        try:
+            stats["server_counters"] = client.stats()["server"]["counters"]
+        except Exception:  # noqa: BLE001 — stats are best-effort
+            pass
+    else:
+        pipeline_stats: Dict[str, int] = {}
+        cache_hits = cache_misses = 0
+        for scale in scales:
+            spec = SCALE_SPECS[scale]
+            kernel = (kernels or {}).get(scale)
+            if kernel is None:
+                kernel = build_kernel(spec)
+            for replica in range(seeds):
+                seed = grid.seed_base + replica
+                replica_settings = dataclasses.replace(
+                    settings, spec=spec, seed=seed
                 )
-        unique: List[PibeConfig] = []
-        index_of: Dict[PibeConfig, int] = {}
-        slot: List[int] = []
-        for config in configs:
-            idx = index_of.get(config)
-            if idx is None:
-                idx = len(unique)
-                index_of[config] = idx
-                unique.append(config)
-            slot.append(idx)
-        cells_requested += len(configs)
-        cells_evaluated += len(unique)
-        say(f"workload={workload}: measure_many over "
-            f"{len(unique)} unique cell(s)")
-        response = client.measure_many(
-            unique, benches=bench_names, workload=workload
-        )
-        results = [response["results"][i] for i in slot]
-        baseline = results[0]
-        for cell, values, config in zip(
-            cell_group, results[1:], configs[1:]
-        ):
-            if baseline is not None and values is not None:
-                cell.geomeans.append(
-                    build_overhead_report(
-                        cell.defense, baseline, values
-                    ).geomean
-                )
-            else:
-                cell.geomeans.append(None)
-            try:
-                metrics = client.security(config, workload)["metrics"]
-            except Exception as exc:  # noqa: BLE001 — older server, gap
-                say(f"security op unavailable for {config.label()}: {exc}")
-                metrics = None
-            if metrics is not None:
-                cell.air = metrics["air"]
-                cell.residual_total = metrics["residual_total"]
-                cell.residual_mean = metrics["residual_mean"]
-        cells.extend(cell_group)
+                say(f"scale={scale} seed={seed}: measuring "
+                    f"{len(grid.workloads)} workload group(s)")
+                with EvalContext(replica_settings, kernel=kernel) as ctx:
+                    stats["contexts"] += 1
 
-    for cell in cells:
+                    def measure_local(configs, workload):
+                        if prewarm:
+                            warmed = ctx.prewarm_prefixes(
+                                configs, workload, jobs=jobs
+                            )
+                            if warmed:
+                                say(
+                                    f"scale={scale} seed={seed} "
+                                    f"workload={workload}: prewarmed "
+                                    f"{warmed} prefix(es)"
+                                )
+                        return ctx.measure_many(
+                            configs, benches, workload, jobs=jobs
+                        )
+
+                    run_replica(
+                        scale,
+                        measure_local,
+                        ctx.security if replica == 0 and security else None,
+                    )
+                    for key, value in ctx.pipeline.stats.items():
+                        pipeline_stats[key] = (
+                            pipeline_stats.get(key, 0) + value
+                        )
+                    if ctx.cache is not None:
+                        snapshot = ctx.cache.stats()
+                        cache_hits += snapshot.get("hits", 0)
+                        cache_misses += snapshot.get("misses", 0)
+        stats["pipeline"] = {
+            k: pipeline_stats[k] for k in sorted(pipeline_stats)
+        }
+        stats["disk_cache"] = {"hits": cache_hits, "misses": cache_misses}
+
+    for cell in cells.values():
         cell.aggregate()
-    ordered = sorted(cells, key=lambda c: c.key)
+    ordered = [cells[key] for key in sorted(cells)]
     mark_pareto_frontier(ordered)
-    stats: Dict[str, Any] = {
-        "cells_requested": cells_requested,
-        "cells_evaluated": cells_evaluated,
-        "dedup_hits": cells_requested - cells_evaluated,
-        "connected": True,
-    }
-    try:
-        stats["server_counters"] = client.stats()["server"]["counters"]
-    except Exception:  # noqa: BLE001 — stats are best-effort
-        pass
     return SweepRunResult(
         grid=grid,
         cells=ordered,

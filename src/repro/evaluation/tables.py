@@ -879,3 +879,30 @@ def figure1() -> Figure1Result:
     table.add_row("Rules 1+2 only", ", ".join(without_rule3) or "(none)")
     table.add_row("Rules 1+2+3", ", ".join(with_rule3) or "(none)")
     return Figure1Result(table, without_rule3, with_rule3)
+
+
+# ---------------------------------------------------------------------------
+# The experiment list
+# ---------------------------------------------------------------------------
+
+#: Every experiment of the evaluation, in the paper's order: (name for
+#: ``repro evaluate -e``, printed label, generator taking the context).
+#: The generators look the table functions up at call time, so a wrapper
+#: installed on this module's functions (a profiler, a tracer) sees
+#: every run.
+EXPERIMENTS = (
+    ("figure1", "Figure 1", lambda ctx: figure1()),
+    ("table1", "Table 1", lambda ctx: table1()),
+    ("table2", "Table 2", lambda ctx: table2(ctx)),
+    ("table3", "Table 3", lambda ctx: table3(ctx)),
+    ("table4", "Table 4", lambda ctx: table4(ctx)),
+    ("table5", "Table 5", lambda ctx: table5(ctx)),
+    ("table6", "Table 6", lambda ctx: table6(ctx)),
+    ("table7", "Table 7", lambda ctx: table7(ctx)),
+    ("table8", "Table 8", lambda ctx: table8(ctx)),
+    ("table9", "Table 9", lambda ctx: table9(ctx)),
+    ("table10", "Table 10", lambda ctx: table10(ctx)),
+    ("table11", "Table 11", lambda ctx: table11(ctx)),
+    ("table12", "Table 12", lambda ctx: table12(ctx)),
+    ("robustness", "Section 8.4", lambda ctx: robustness(ctx)),
+)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import PibeConfig
-from repro.evaluation.cache import cache_key
 from repro.hardening.defenses import DefenseConfig, NonTransientDefense
 from repro.workloads.base import Benchmark
 from repro.workloads.lmbench import BY_NAME, LMBENCH_BENCHMARKS
@@ -171,42 +170,6 @@ def workload_from_params(params: Dict[str, Any]) -> str:
     if workload not in ("lmbench", "apache"):
         raise ProtocolError(f"unknown workload {workload!r}")
     return workload
-
-
-def measure_key(
-    config: PibeConfig, benches: Tuple[Benchmark, ...], workload: str
-) -> str:
-    """Single-flight key for one measurement cell.
-
-    Hashes the *semantic* request (config, bench names, workload), so
-    two clients asking for the same cell — however their JSON was
-    spelled — coalesce onto one evaluation.
-    """
-    return cache_key(
-        "serve.measure",
-        config_to_dict(config),
-        [b.name for b in benches],
-        workload,
-    )
-
-
-def build_key(config: PibeConfig, workload: str) -> str:
-    return cache_key("serve.build", config_to_dict(config), workload)
-
-
-def lint_key(
-    config: PibeConfig, workload: str, rules: Optional[List[str]]
-) -> str:
-    return cache_key(
-        "serve.lint",
-        config_to_dict(config),
-        workload,
-        sorted(rules) if rules else None,
-    )
-
-
-def security_key(config: PibeConfig, workload: str) -> str:
-    return cache_key("serve.security", config_to_dict(config), workload)
 
 
 # -- framing -----------------------------------------------------------------

@@ -11,9 +11,10 @@ it:
   the in-memory memo or the disk cache is answered inline on the event
   loop; only genuine misses are dispatched for evaluation.
 - **Single-flight dedup**: concurrent identical cells (same config,
-  benches, workload — keyed by :func:`repro.serve.protocol.measure_key`)
-  coalesce onto one in-flight evaluation; N clients asking for the same
-  cold cell cost exactly one evaluation.
+  benches, workload — keyed by the harness's
+  :func:`~repro.evaluation.harness.cell_key`, the same key as its
+  memos) coalesce onto one in-flight evaluation; N clients asking for
+  the same cold cell cost exactly one evaluation.
 - **Batched dispatch**: cells that miss queue up and a dispatcher drains
   the whole queue per round, grouping compatible cells (same benches and
   workload) into single :meth:`EvalContext.measure_many` calls — the
@@ -45,7 +46,12 @@ from functools import partial
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.evaluation.failures import CellFailure
-from repro.evaluation.harness import EvalContext, EvalSettings
+from repro.evaluation.harness import (
+    EvalContext,
+    EvalSettings,
+    bench_names,
+    cell_key,
+)
 from repro.evaluation.stats import nearest_rank
 from repro.serve import protocol
 from repro.serve.protocol import ProtocolError, Request
@@ -92,7 +98,7 @@ class EndpointStats:
 class _Cell:
     """One queued measurement cell awaiting the dispatcher."""
 
-    key: str
+    key: Tuple
     config: Any
     benches: Tuple[Benchmark, ...]
     workload: str
@@ -132,7 +138,8 @@ class ReproServer:
         self._eval_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-eval"
         )
-        self._inflight: Dict[str, "asyncio.Future"] = {}
+        #: single-flight futures, keyed by the op name plus the cell_key
+        self._inflight: Dict[Tuple, "asyncio.Future"] = {}
         self._queue: List[_Cell] = []
         self._kick = asyncio.Event()
         self._shutdown = asyncio.Event()
@@ -329,7 +336,7 @@ class ReproServer:
         Returns ``(values, cached)``; raises :class:`_CellFailed` when
         the harness gave up on the cell.
         """
-        key = protocol.measure_key(config, benches, workload)
+        key = ("measure",) + cell_key(config, workload, bench_names(benches))
         inflight = self._inflight.get(key)
         if inflight is None:
             cached = self.ctx.cached_measurement(config, benches, workload)
@@ -394,7 +401,7 @@ class ReproServer:
             self.counters["batches"] += 1
             groups: Dict[Tuple[Tuple[str, ...], str], List[_Cell]] = {}
             for cell in batch:
-                group_key = (tuple(b.name for b in cell.benches), cell.workload)
+                group_key = (bench_names(cell.benches), cell.workload)
                 groups.setdefault(group_key, []).append(cell)
             for cells in groups.values():
                 self.counters["cells_evaluated"] += len(cells)
@@ -490,10 +497,13 @@ class ReproServer:
             "failures": failures,
         }
 
-    async def _op_build(self, request: Request) -> Dict[str, Any]:
-        config = protocol.config_from_dict(request.params.get("config", {}))
-        workload = protocol.workload_from_params(request.params)
-        key = protocol.build_key(config, workload)
+    async def _single_flight(self, key: Tuple, compute) -> Dict[str, Any]:
+        """Run ``compute`` on the eval thread, once per ``key`` at a time.
+
+        Concurrent identical requests (a sweep client asks for the
+        build, lint or security metrics of every grid variant) await the
+        one in-flight result instead of redoing it.
+        """
         inflight = self._inflight.get(key)
         if inflight is not None:
             self.counters["single_flight_hits"] += 1
@@ -502,9 +512,7 @@ class ReproServer:
         future: "asyncio.Future" = loop.create_future()
         self._inflight[key] = future
         try:
-            result = await loop.run_in_executor(
-                self._eval_pool, partial(self._build_inline, config, workload)
-            )
+            result = await loop.run_in_executor(self._eval_pool, compute)
         except Exception as exc:
             if not future.done():
                 future.set_exception(exc)
@@ -516,6 +524,14 @@ class ReproServer:
             return dict(result)
         finally:
             self._inflight.pop(key, None)
+
+    async def _op_build(self, request: Request) -> Dict[str, Any]:
+        config = protocol.config_from_dict(request.params.get("config", {}))
+        workload = protocol.workload_from_params(request.params)
+        return await self._single_flight(
+            ("build",) + cell_key(config, workload),
+            partial(self._build_inline, config, workload),
+        )
 
     def _build_inline(self, config, workload: str) -> Dict[str, Any]:
         """Runs on the eval thread: build (and memoize) one variant."""
@@ -536,31 +552,11 @@ class ReproServer:
         rules = request.params.get("rules")
         if rules is not None and not isinstance(rules, list):
             raise ProtocolError("'rules' must be a list of rule names")
-        # Single-flight: concurrent identical lints (sweep drivers batch
-        # one lint per variant) coalesce onto one incremental run.
-        key = protocol.lint_key(config, workload, rules)
-        inflight = self._inflight.get(key)
-        if inflight is not None:
-            self.counters["single_flight_hits"] += 1
-            return dict(await asyncio.shield(inflight))
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future" = loop.create_future()
-        self._inflight[key] = future
-        try:
-            result = await loop.run_in_executor(
-                self._eval_pool,
-                partial(self._lint_inline, config, workload, rules),
-            )
-        except Exception as exc:
-            if not future.done():
-                future.set_exception(exc)
-                future.exception()
-            raise
-        else:
-            future.set_result(result)
-            return dict(result)
-        finally:
-            self._inflight.pop(key, None)
+        selection = tuple(rules) if rules else None
+        return await self._single_flight(
+            ("lint",) + cell_key(config, workload, selection),
+            partial(self._lint_inline, config, workload, rules),
+        )
 
     def _lint_inline(
         self, config, workload: str, rules: Optional[List[str]]
@@ -581,40 +577,15 @@ class ReproServer:
     async def _op_security(self, request: Request) -> Dict[str, Any]:
         config = protocol.config_from_dict(request.params.get("config", {}))
         workload = protocol.workload_from_params(request.params)
-        # Single-flight like build/lint: a sweep client asks for the
-        # metrics of every grid variant, and concurrent identical
-        # requests must cost one analysis of one memoized build.
-        key = protocol.security_key(config, workload)
-        inflight = self._inflight.get(key)
-        if inflight is not None:
-            self.counters["single_flight_hits"] += 1
-            return dict(await asyncio.shield(inflight))
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future" = loop.create_future()
-        self._inflight[key] = future
-        try:
-            result = await loop.run_in_executor(
-                self._eval_pool,
-                partial(self._security_inline, config, workload),
-            )
-        except Exception as exc:
-            if not future.done():
-                future.set_exception(exc)
-                future.exception()
-            raise
-        else:
-            future.set_result(result)
-            return dict(result)
-        finally:
-            self._inflight.pop(key, None)
+        return await self._single_flight(
+            ("security",) + cell_key(config, workload),
+            partial(self._security_inline, config, workload),
+        )
 
     def _security_inline(self, config, workload: str) -> Dict[str, Any]:
         """Runs on the eval thread: residual-target metrics of a
         (memoized) variant — the security axis of sweep Pareto plots."""
-        from repro.analysis.security import security_metrics
-
-        build = self.ctx.variant(config, workload)
-        metrics = security_metrics(build.module, label=config.label())
+        metrics = self.ctx.security(config, workload)
         return {
             "label": config.label(),
             "workload": workload,
@@ -630,18 +601,11 @@ class ReproServer:
         cache = self.ctx.cache
         cache_stats: Optional[Dict[str, Any]] = None
         if cache is not None:
-            usage = cache.disk_usage()
-            usage.pop("quarantine", None)
-            quarantined = 0
-            if cache.quarantine_dir().is_dir():
-                quarantined = sum(
-                    1 for _ in cache.quarantine_dir().glob("*.json")
-                )
             cache_stats = {
                 "root": str(cache.root),
                 "counters": cache.stats(),
-                "disk": usage,
-                "quarantined": quarantined,
+                "disk": cache.disk_usage(),
+                "quarantined": cache.quarantined(),
             }
         return {
             "server": {

@@ -318,15 +318,7 @@ def _eval_settings(args) -> "EvalSettings":  # noqa: F821 — local import below
 
     import dataclasses
 
-    if args.fast:
-        settings = EvalSettings(
-            spec=SmallSpec(),
-            profile_iterations=1,
-            profile_ops_scale=0.2,
-            measure_ops_scale=0.15,
-        )
-    else:
-        settings = EvalSettings()
+    settings = EvalSettings.fast() if args.fast else EvalSettings()
     overrides = {}
     if getattr(args, "jobs", None) is not None:
         overrides["jobs"] = args.jobs
@@ -385,28 +377,13 @@ def cmd_evaluate(args) -> int:
     from repro.evaluation.harness import EvalContext
 
     ctx = EvalContext(_eval_settings(args))
-    generators = {
-        "figure1": lambda: tables.figure1(),
-        "table1": lambda: tables.table1(),
-        "table2": lambda: tables.table2(ctx),
-        "table3": lambda: tables.table3(ctx),
-        "table4": lambda: tables.table4(ctx),
-        "table5": lambda: tables.table5(ctx),
-        "table6": lambda: tables.table6(ctx),
-        "table7": lambda: tables.table7(ctx),
-        "table8": lambda: tables.table8(ctx),
-        "table9": lambda: tables.table9(ctx),
-        "table10": lambda: tables.table10(ctx),
-        "table11": lambda: tables.table11(ctx),
-        "table12": lambda: tables.table12(ctx),
-        "robustness": lambda: tables.robustness(ctx),
-    }
+    generators = {name: run for name, _, run in tables.EXPERIMENTS}
     chosen = args.experiment or list(generators)
     for name in chosen:
         if name not in generators:
             print(f"unknown experiment {name!r}", file=sys.stderr)
             return 2
-        result = generators[name]()
+        result = generators[name](ctx)
         print(result.table.to_text())
         print()
     return 0
@@ -453,12 +430,7 @@ def cmd_cache(args) -> int:
     root = Path(args.cache_dir or CACHE_DIR_NAME)
     cache = DiskCache(root)
     usage = cache.disk_usage()
-    quarantined = 0
-    if cache.quarantine_dir().is_dir():
-        quarantined = sum(
-            1 for _ in cache.quarantine_dir().glob("*.json")
-        )
-        usage.pop(cache.quarantine_dir().name, None)
+    quarantined = cache.quarantined()
     payload = {
         "root": str(root),
         "kinds": {kind: usage[kind] for kind in sorted(usage)},
@@ -613,12 +585,12 @@ def cmd_sweep(args) -> int:
     """Full-grid sweep: (budget x defense x workload x scale) cells with
     seed repetition, Pareto frontier and defense crossover analysis."""
     import dataclasses
+    import os
 
     from repro.evaluation.sweepengine import (
         grid_from_spec,
         resolve_benches,
         run_sweep,
-        run_sweep_connected,
     )
 
     def log(message: str) -> None:
@@ -628,9 +600,9 @@ def cmd_sweep(args) -> int:
         grid = grid_from_spec(args.grid)
         if args.seeds is not None:
             grid = dataclasses.replace(grid, seeds=args.seeds)
-        benches = args.bench.split(",") if args.bench else None
-        if not args.connect:
-            bench_objs = resolve_benches(benches)
+        # Resolved locally in both modes: a typo fails before any server
+        # is contacted.
+        benches = resolve_benches(args.bench.split(",") if args.bench else None)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -640,7 +612,7 @@ def cmd_sweep(args) -> int:
         from repro.serve.client import DEFAULT_PORT, ServeClient, ServeError
 
         address = args.connect
-        if "/" in address:
+        if "/" in address or os.path.exists(address):
             client = ServeClient(unix=address)
         else:
             host, _, port = address.partition(":")
@@ -650,8 +622,8 @@ def cmd_sweep(args) -> int:
             )
         try:
             with client:
-                result = run_sweep_connected(
-                    grid, client, benches=benches, log=log
+                result = run_sweep(
+                    grid, benches=benches, log=log, client=client
                 )
         except ServeError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -660,11 +632,10 @@ def cmd_sweep(args) -> int:
             print(f"cannot reach server at {address}: {exc}", file=sys.stderr)
             return 1
     else:
-        settings = _eval_settings(args)
         result = run_sweep(
             grid,
-            settings,
-            benches=bench_objs,
+            _eval_settings(args),
+            benches=benches,
             jobs=args.jobs,
             log=log,
             prewarm=not args.no_prewarm,
@@ -951,9 +922,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--connect",
         help=(
-            "sweep against a running `repro serve` (host:port or unix "
-            "socket path) instead of a local harness; the server's "
-            "kernel/seed replace the grid's scales/seeds dimensions"
+            "sweep against a running `repro serve` (host:port, or a unix "
+            "socket path: any address with a '/' or naming an existing "
+            "file) instead of a local harness; the server's kernel/seed "
+            "replace the grid's scales/seeds dimensions"
         ),
     )
     p.add_argument(

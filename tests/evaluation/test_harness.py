@@ -1,10 +1,13 @@
 """Evaluation harness caching and measurement plumbing."""
 
+import dataclasses
+
 import pytest
 
+from repro.baselines.jumpswitches import JumpSwitchParams
 from repro.core.config import PibeConfig
 from repro.evaluation.harness import EvalContext, EvalSettings
-from repro.hardening.defenses import DefenseConfig
+from repro.hardening.defenses import DefenseConfig, NonTransientDefense
 from repro.kernel.spec import SmallSpec
 from repro.workloads.lmbench import BY_NAME
 
@@ -31,12 +34,27 @@ def test_profiles_cached(ctx):
         ctx.profile("bogus")
 
 
-def test_variants_cached_by_label_and_workload(ctx):
+def _fresh(ctx):
+    """A context with empty memos over the same kernel: what a cell
+    reads when nothing else was evaluated before it."""
+    return EvalContext(ctx.settings, kernel=ctx.kernel)
+
+
+def test_variants_cached_by_config_and_workload(ctx):
     config = PibeConfig.lax(DefenseConfig.all_defenses())
     a = ctx.variant(config)
     assert ctx.variant(config) is a
     b = ctx.variant(config, workload_name="apache")
     assert b is not a
+    # run_dce is not in the label but is in the key: this build keeps
+    # the functions inlining made unreachable, like a fresh context's.
+    no_dce = dataclasses.replace(config, run_dce=False)
+    assert no_dce.label() == config.label()
+    kept = ctx.variant(no_dce)
+    with _fresh(ctx) as fresh:
+        expected = len(fresh.variant(no_dce).module.functions)
+    assert len(kept.module.functions) == expected
+    assert expected > len(a.module.functions)
 
 
 def test_measurements_cached(ctx):
@@ -48,6 +66,25 @@ def test_measurements_cached(ctx):
     assert set(first) == {"null", "read"}
 
 
+def test_measurements_keyed_by_config_not_label(ctx):
+    """``label()`` drops the non-transient defenses of an all-defenses
+    config, so both configs below read alike; their cells must not."""
+    benches = (BY_NAME["read"],)
+    plain = PibeConfig.lax(DefenseConfig.all_defenses())
+    with_cfi = PibeConfig.lax(
+        dataclasses.replace(
+            DefenseConfig.all_defenses(),
+            nontransient=frozenset({NonTransientDefense.LLVM_CFI}),
+        )
+    )
+    assert with_cfi.label() == plain.label()
+    first = ctx.measure(plain, benches)
+    second = ctx.measure(with_cfi, benches)
+    with _fresh(ctx) as fresh:
+        assert second == fresh.measure(with_cfi, benches)
+    assert second != first
+
+
 def test_jumpswitches_measurement(ctx):
     benches = (BY_NAME["read"],)
     js = ctx.measure_jumpswitches(benches)
@@ -57,6 +94,13 @@ def test_jumpswitches_measurement(ctx):
     lto = ctx.lto_measurements(benches)
     # runtime promotion sits between unoptimized retpolines and vanilla
     assert lto["read"] < js["read"] < retp["read"] * 1.05
+    # the memo is keyed by the params too: a costly patcher with one
+    # inline target reads what a fresh context reads, not the default
+    costly = JumpSwitchParams(max_inline_targets=1, patch_cost=5000.0)
+    tuned = ctx.measure_jumpswitches(benches, params=costly)
+    with _fresh(ctx) as fresh:
+        assert tuned == fresh.measure_jumpswitches(benches, params=costly)
+    assert tuned["read"] > js["read"]
 
 
 def test_fast_settings_reduce_scale():

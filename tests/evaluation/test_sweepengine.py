@@ -1,5 +1,5 @@
-"""The grid sweep engine: dedup, aggregation, Pareto/crossover analysis,
-and deterministic renderings.
+"""The grid sweep engine: grid validation, aggregation, Pareto/crossover
+analysis, and deterministic renderings.
 
 The expensive end-to-end sweep runs once on a deliberately small grid
 (module-scoped); analysis-layer tests use synthetic cells so their edge
@@ -25,7 +25,6 @@ from repro.evaluation.sweepengine import (
     grid_from_spec,
     llvm_cfi_only,
     mark_pareto_frontier,
-    measure_deduped,
     run_sweep,
 )
 from repro.hardening.defenses import DefenseConfig
@@ -50,6 +49,33 @@ def test_grid_validation():
         SweepGrid(budgets=(0.9,), defenses=retp, scales=("huge",))
     with pytest.raises(ValueError, match="seeds"):
         SweepGrid(budgets=(0.9,), defenses=retp, seeds=0)
+
+
+def test_grid_rejects_repeats():
+    """A repeat is the only way two grid cells could share a config, so
+    the grid refuses one instead of measuring (and counting) it twice."""
+    retp = (DefenseConfig.retpolines_only(),)
+    with pytest.raises(ValueError, match="repeated budget"):
+        SweepGrid(budgets=(0.9, 0.99, 0.9), defenses=retp)
+    with pytest.raises(ValueError, match="repeated defense"):
+        SweepGrid(budgets=(0.9,), defenses=retp + retp)
+    # all-defenses plus LLVM-CFI carries the plain all-defenses label,
+    # so its cells would share rows with the plain ones
+    all_cfi = DefenseConfig(
+        retpolines=True,
+        ret_retpolines=True,
+        lvi_cfi=True,
+        nontransient=llvm_cfi_only().nontransient,
+    )
+    with pytest.raises(ValueError, match="repeated defense"):
+        SweepGrid(
+            budgets=(0.9,),
+            defenses=(DefenseConfig.all_defenses(), all_cfi),
+        )
+    with pytest.raises(ValueError, match="repeated budget"):
+        grid_from_spec('{"budgets": [0.9, 0.9], "seeds": 1}')
+    with pytest.raises(ValueError, match="repeated defense"):
+        grid_from_spec('{"defenses": ["llvm-cfi", "retpolines", "llvm-cfi"]}')
 
 
 def test_presets_meet_acceptance_shape():
@@ -318,19 +344,29 @@ def ctx(tmp_path_factory):
 
 
 def test_measure_deduped_collapses_equal_configs(ctx):
+    """Equal configs are one cell: the harness memo is keyed by the
+    config value, so a separately built equal config is a memo hit, and
+    a grid cannot request the same config twice at all."""
+
+    def config():
+        return PibeConfig.hardened(
+            DefenseConfig.retpolines_only(), icp_budget=0.99, inline_budget=0.99
+        )
+
     benches = (BY_NAME["read"],)
-    config = PibeConfig.hardened(
-        DefenseConfig.retpolines_only(), icp_budget=0.99, inline_budget=0.99
+    memo_before = len(ctx._measurements)
+    results = ctx.measure_many(
+        [config(), PibeConfig.lto_baseline(), config()], benches
     )
-    deduped = measure_deduped(
-        ctx, [config, PibeConfig.lto_baseline(), config], benches
-    )
-    assert deduped.cells_requested == 3
-    assert deduped.cells_evaluated == 2
-    assert deduped.dedup_hits == 1
-    assert deduped.results[0] == deduped.results[2]
-    assert deduped.results[0] is not None
-    assert deduped.results[1] is not None
+    assert len(ctx._measurements) == memo_before + 2  # 3 requested, 2 cells
+    assert results[0] is results[2]
+    assert results[0] is not None
+    assert results[1] is not None
+    assert results.failure_report.ok
+    with pytest.raises(ValueError, match="repeated budget"):
+        SweepGrid(
+            budgets=(0.99, 0.99), defenses=(DefenseConfig.retpolines_only(),)
+        )
 
 
 def test_run_sweep_end_to_end(ctx):

@@ -1,10 +1,12 @@
 """Wire-protocol codec: config round-trips, strict rejection, framing."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.core.config import PibeConfig
+from repro.evaluation.harness import bench_names, cell_key
 from repro.hardening.defenses import DefenseConfig, NonTransientDefense
 from repro.serve import protocol
 from repro.serve.protocol import ProtocolError
@@ -79,22 +81,48 @@ def test_workload_validation():
 
 
 def test_measure_key_is_semantic():
-    benches = protocol.benches_from_names(["null"])
+    """A served measurement is keyed by the harness's cell_key over the
+    decoded config value, in single-flight and in the memo alike."""
+    names = bench_names(protocol.benches_from_names(["null"]))
     config = PibeConfig.lax(DefenseConfig.all_defenses())
-    # same semantic cell from two different JSON spellings -> same key
+    key = cell_key(config, "lmbench", names)
+    # same semantic cell from different JSON spellings -> same key
     respelled = protocol.config_from_dict(
         json.loads(json.dumps(protocol.config_to_dict(config)))
     )
-    assert protocol.measure_key(config, benches, "lmbench") == (
-        protocol.measure_key(respelled, benches, "lmbench")
+    terse = protocol.config_from_dict(  # defaults omitted, fields reordered
+        {
+            "lax_heuristics": True,
+            "inline_budget": 0.999999,
+            "icp_budget": 0.999999,
+            "defenses": {
+                "lvi_cfi": True,
+                "ret_retpolines": True,
+                "retpolines": True,
+            },
+        }
     )
-    # any semantic difference -> different key
-    assert protocol.measure_key(config, benches, "lmbench") != (
-        protocol.measure_key(config, benches, "apache")
-    )
-    assert protocol.measure_key(config, benches, "lmbench") != (
-        protocol.measure_key(PibeConfig(), benches, "lmbench")
-    )
+    for spelling in (respelled, terse):
+        assert cell_key(spelling, "lmbench", names) == key
+        assert hash(cell_key(spelling, "lmbench", names)) == hash(key)
+    # any semantic difference -> different key, including the fields
+    # label() leaves out
+    assert cell_key(config, "apache", names) != key
+    assert cell_key(PibeConfig(), "lmbench", names) != key
+    assert cell_key(config, "lmbench", ("read",)) != key
+    for changed in (
+        dataclasses.replace(config, run_dce=False),
+        dataclasses.replace(config, callee_threshold=3_000),
+        dataclasses.replace(
+            config,
+            defenses=dataclasses.replace(
+                config.defenses,
+                nontransient=frozenset({NonTransientDefense.LLVM_CFI}),
+            ),
+        ),
+    ):
+        assert changed.label() == config.label()
+        assert cell_key(changed, "lmbench", names) != key
 
 
 def test_request_framing_roundtrip():

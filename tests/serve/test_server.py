@@ -2,6 +2,7 @@
 driven by real clients — routing counters, single-flight dedup, wire
 errors and bit-identical results versus the inline harness."""
 
+import dataclasses
 import json
 import os
 import socket
@@ -12,7 +13,7 @@ import pytest
 
 from repro.core.config import PibeConfig
 from repro.evaluation.harness import EvalContext, EvalSettings
-from repro.hardening.defenses import DefenseConfig
+from repro.hardening.defenses import DefenseConfig, NonTransientDefense
 from repro.kernel.spec import SmallSpec
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
@@ -91,6 +92,30 @@ def test_repeat_measure_is_inline_cache_hit(served):
     assert second["cached"] is True
     assert server.counters["inline_hits"] == before["inline_hits"] + 1
     assert server.counters["cells_evaluated"] == before["cells_evaluated"]
+
+
+def test_configs_sharing_a_label_are_separate_cells(served):
+    """``label()`` drops the LLVM-CFI of an all-defenses config. The
+    server must evaluate it as its own cell, not answer it from memory
+    with the plain config's numbers."""
+    server, sock = served
+    plain = PibeConfig.lax(DefenseConfig.all_defenses())
+    with_cfi = PibeConfig.lax(
+        dataclasses.replace(
+            DefenseConfig.all_defenses(),
+            nontransient=frozenset({NonTransientDefense.LLVM_CFI}),
+        )
+    )
+    assert with_cfi.label() == plain.label()
+    with ServeClient(unix=sock) as client:
+        client.measure(plain, benches=BENCH_NAMES)
+        before = dict(server.counters)
+        served_values = client.measure(with_cfi, benches=BENCH_NAMES)
+    assert served_values["cached"] is False
+    assert server.counters["cells_evaluated"] == before["cells_evaluated"] + 1
+    assert server.counters["inline_hits"] == before["inline_hits"]
+    with EvalContext(_settings()) as ctx:
+        assert served_values["results"] == ctx.measure(with_cfi, BENCHES)
 
 
 def test_measure_many_matches_inline_and_batches(served):

@@ -384,3 +384,137 @@ def test_cache_stats_json_is_byte_stable(tmp_path, capsys):
     # key order inside the document is sorted too (byte-stability, not
     # just dict equality)
     assert first == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# -- sweep against a live server ---------------------------------------------
+
+#: 2 defenses x 2 budgets on the small kernel, one seed: one workload
+#: group of five cells (the LTO baseline plus the grid).
+SWEEP_GRID = json.dumps(
+    {
+        "budgets": [0.5, 0.999999],
+        "defenses": ["retpolines", "llvm-cfi"],
+        "workloads": ["lmbench"],
+        "scales": ["small"],
+        "seeds": 1,
+    }
+)
+SWEEP_BENCHES = "read,write,pipe"
+
+
+def _repro_env():
+    import os
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+def _csv_rows_without_scale(text):
+    rows = [line.split(",") for line in text.splitlines()]
+    return [row[1:] for row in rows], {row[0] for row in rows[1:]}
+
+
+@pytest.fixture(scope="module")
+def fast_server(tmp_path_factory):
+    """`repro serve --fast` in its own process, listening on the relative
+    socket path ``s.sock`` inside the yielded directory."""
+    import subprocess
+    import time
+
+    from repro.serve.client import ServeClient, ServeError
+
+    root = tmp_path_factory.mktemp("connect")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--fast", "--no-cache",
+         "--unix", "s.sock", "--ready-file", "ready"],
+        cwd=root,
+        env=_repro_env(),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 120
+        while not (root / "ready").exists():
+            assert proc.poll() is None, "server exited before listening"
+            assert time.monotonic() < deadline, "server never came up"
+            time.sleep(0.05)
+        yield root
+    finally:
+        try:
+            with ServeClient(unix=str(root / "s.sock"), timeout=30) as client:
+                client.shutdown()
+            proc.wait(timeout=30)
+        except (ServeError, OSError, subprocess.TimeoutExpired):
+            proc.kill()
+            proc.wait()
+
+
+def test_sweep_connect_accepts_relative_socket_path(
+    fast_server, monkeypatch, capsys
+):
+    """`--connect s.sock` names a unix socket (it exists), not a host."""
+    monkeypatch.chdir(fast_server)
+    assert (
+        main(
+            [
+                "sweep", "--connect", "s.sock", "--grid", SWEEP_GRID,
+                "--bench", SWEEP_BENCHES, "--csv", "connected.csv",
+                "-o", "connected.txt",
+            ]
+        )
+        == 0
+    )
+    capsys.readouterr()
+    _, scales = _csv_rows_without_scale(
+        (fast_server / "connected.csv").read_text()
+    )
+    assert scales == {"serve"}
+    # bench names resolve locally: a typo fails before any connection
+    assert main(["sweep", "--connect", "nowhere.sock", "--bench", "nope"]) == 2
+    assert "unknown benchmark" in capsys.readouterr().err
+
+
+def test_connected_sweep_matches_local_fast_sweep(fast_server):
+    """`run_sweep(client=)` against `repro serve --fast` reads what a local
+    `repro sweep --fast` reads over the same grid, apart from the scale
+    column. Both sides run in fresh processes, as a user would."""
+    import subprocess
+
+    from repro.evaluation.sweepengine import (
+        grid_from_spec,
+        resolve_benches,
+        run_sweep,
+    )
+    from repro.serve.client import ServeClient
+
+    subprocess.run(
+        [sys.executable, "-m", "repro", "sweep", "--fast", "--grid",
+         SWEEP_GRID, "--bench", SWEEP_BENCHES, "--csv", "local.csv",
+         "-o", "local.txt"],
+        cwd=fast_server,
+        env=_repro_env(),
+        check=True,
+        capture_output=True,
+    )
+    with ServeClient(unix=str(fast_server / "s.sock")) as client:
+        connected = run_sweep(
+            grid_from_spec(SWEEP_GRID),
+            benches=resolve_benches(SWEEP_BENCHES.split(",")),
+            client=client,
+        )
+    local_rows, local_scales = _csv_rows_without_scale(
+        (fast_server / "local.csv").read_text()
+    )
+    served_rows, served_scales = _csv_rows_without_scale(connected.to_csv())
+    assert (local_scales, served_scales) == ({"small"}, {"serve"})
+    assert served_rows == local_rows
+    assert connected.stats["connected"] is True
+    assert connected.stats["failed_cells"] == 0
+    assert all(cell.air is not None for cell in connected.cells)
