@@ -47,7 +47,7 @@ from repro.core.config import PibeConfig
 from repro.core.pipeline import PibePipeline
 from repro.evaluation.cache import DiskCache
 from repro.evaluation.harness import EvalContext, EvalSettings
-from repro.evaluation.sweepengine import SweepGrid, llvm_cfi_only, run_sweep
+from repro.evaluation.sweepengine import SweepGrid, run_sweep
 from repro.hardening.defenses import DefenseConfig
 from repro.kernel.generator import build_kernel
 from repro.kernel.spec import DEFAULT_SPEC, SmallSpec
@@ -198,7 +198,7 @@ def run_prewarm_bench(fast: bool) -> Dict[str, Any]:
         budgets=budgets,
         defenses=(
             DefenseConfig.retpolines_only(),
-            llvm_cfi_only(),
+            DefenseConfig.llvm_cfi_only(),
             DefenseConfig.all_defenses(),
         ),
         workloads=("lmbench",),

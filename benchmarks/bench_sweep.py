@@ -46,7 +46,6 @@ from repro.evaluation.harness import EvalSettings
 from repro.evaluation.sweepengine import (
     SCALE_SPECS,
     SweepGrid,
-    llvm_cfi_only,
     run_sweep,
 )
 from repro.hardening.defenses import DefenseConfig
@@ -61,7 +60,7 @@ MAX_GROWTH_COST_FRACTION = 0.75
 
 BASE_DEFENSES = (
     DefenseConfig.retpolines_only(),
-    llvm_cfi_only(),
+    DefenseConfig.llvm_cfi_only(),
 )
 EXTRA_DEFENSES = (
     DefenseConfig.lvi_only(),

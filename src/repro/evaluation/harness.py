@@ -62,9 +62,9 @@ from repro.ir.fingerprint import module_fingerprint
 from repro.kernel.generator import build_kernel
 from repro.kernel.spec import DEFAULT_SPEC, KernelSpec, SmallSpec
 from repro.profiling.profile_data import EdgeProfile
-from repro.workloads.apachebench import apachebench_workload
+from repro.workloads import TRAINING_WORKLOADS
 from repro.workloads.base import Benchmark, measure_benchmark
-from repro.workloads.lmbench import LMBENCH_BENCHMARKS, lmbench_workload
+from repro.workloads.lmbench import LMBENCH_BENCHMARKS
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,8 @@ class EvalSettings:
     #: name, which keeps cached results from different semantics apart
     #: automatically.
     engine: str = DEFAULT_ENGINE
-    #: Worker processes for :meth:`EvalContext.measure_many` (1 = inline).
+    #: Worker processes for the context's pool: ``measure_many``,
+    #: ``prewarm_prefixes`` and sharded ``lint`` (1 = inline).
     jobs: int = 1
     #: Directory for the persistent result cache; ``None`` disables it.
     cache_dir: Optional[str] = None
@@ -205,14 +206,6 @@ class EvalContext:
 
     # -- profiles -----------------------------------------------------------
 
-    @staticmethod
-    def _workload(workload_name: str):
-        if workload_name == "lmbench":
-            return lmbench_workload()
-        if workload_name == "apache":
-            return apachebench_workload()
-        raise ValueError(f"unknown workload {workload_name!r}")
-
     def profile(self, workload_name: str = "lmbench") -> EdgeProfile:
         cached = self._profiles.get(workload_name)
         if cached is not None:
@@ -240,8 +233,11 @@ class EvalContext:
                 profile = EdgeProfile.from_dict(entry)
                 self._profiles[workload_name] = profile
                 return profile
+        factory = TRAINING_WORKLOADS.get(workload_name)
+        if factory is None:
+            raise ValueError(f"unknown workload {workload_name!r}")
         profile = self.pipeline.profile(
-            self._workload(workload_name),
+            factory(),
             iterations=s.profile_iterations,
             ops_scale=s.profile_ops_scale,
             seed=s.seed,
@@ -282,7 +278,6 @@ class EvalContext:
         self,
         configs: Sequence[PibeConfig],
         workload_name: str = "lmbench",
-        jobs: Optional[int] = None,
     ) -> int:
         """Build the distinct cold optimized prefixes of ``configs`` in
         parallel, ahead of measurement.
@@ -298,14 +293,13 @@ class EvalContext:
         one basis instead of each worker rebuilding it.
 
         Returns the number of prefixes dispatched. Requires the disk
-        cache (it is the hand-back channel) and ``jobs > 1``; otherwise
-        a no-op — prefixes then build lazily inline, exactly as before.
-        Worker failures are absorbed: an unwarmed prefix just builds
-        inline later.
+        cache (it is the hand-back channel) and ``settings.jobs > 1``;
+        otherwise a no-op — prefixes then build lazily inline, exactly as
+        before. Worker failures are absorbed: an unwarmed prefix just
+        builds inline later.
         """
-        global _WORKER_CTX
         self._check_open()
-        jobs = self.settings.jobs if jobs is None else jobs
+        jobs = self.settings.jobs
         if self.cache is None or jobs <= 1:
             return 0
         from repro.core.pipeline import PrefixKey
@@ -361,25 +355,13 @@ class EvalContext:
                 tuple(config for _, config in sorted(b, key=ladder_key))
                 for b in bins
             )
-        plan = faults.active_plan()
-        _WORKER_CTX = self
-        pool = self._ensure_pool(min(len(slices), max(jobs, 1)), plan)
-        futures = [
-            pool.submit(_prewarm_prefix_cell, (chunk, workload_name))
-            for chunk in slices
-        ]
-        warmed = 0
-        broken = False
-        for fut in futures:
-            try:
-                warmed += fut.result()
-            except BrokenExecutor:
-                broken = True
-            except Exception:  # noqa: BLE001 — cold build happens inline
-                pass
-        if broken:
-            self._replace_pool(plan, kill=True)
-        return warmed
+        # A lost slice (None) costs nothing: its prefixes build inline.
+        warmed = self._pool_map(
+            _prewarm_prefix_cell,
+            [(chunk, workload_name) for chunk in slices],
+            min(len(slices), jobs),
+        )
+        return sum(n for n in warmed if n is not None)
 
     # -- lint ---------------------------------------------------------------
 
@@ -388,7 +370,6 @@ class EvalContext:
         config: PibeConfig,
         workload_name: str = "lmbench",
         rules: Optional[Sequence[str]] = None,
-        jobs: Optional[int] = None,
     ):
         """Incrementally lint a built variant, sharding cache misses over
         the persistent worker pool.
@@ -409,7 +390,7 @@ class EvalContext:
 
         build = self.variant(config, workload_name)
         profile = self.profile(workload_name) if config.optimized else None
-        jobs = self.settings.jobs if jobs is None else jobs
+        jobs = self.settings.jobs
         map_shards = (
             self._lint_shards_mapper(config, workload_name)
             if jobs > 1
@@ -438,39 +419,47 @@ class EvalContext:
         """
 
         def mapper(shards):
-            global _WORKER_CTX
             if config.optimized:
                 # Materialize profile + variant before workers fork so
                 # they inherit the memoized module instead of rebuilding.
                 self.profile(workload_name)
             self.variant(config, workload_name)
-            plan = faults.active_plan()
-            _WORKER_CTX = self
-            pool = self._ensure_pool(min(len(shards), self._max_jobs()), plan)
-            futures = [
-                pool.submit(
-                    _lint_shard_cell, (config, workload_name, shard)
-                )
-                for shard in shards
-            ]
-            results = []
-            broken = False
-            for fut in futures:
-                try:
-                    results.append(fut.result())
-                except BrokenExecutor:
-                    results.append(None)
-                    broken = True
-                except Exception:  # noqa: BLE001 — recomputed inline
-                    results.append(None)
-            if broken:
-                self._replace_pool(plan, kill=True)
-            return results
+            return self._pool_map(
+                _lint_shard_cell,
+                [(config, workload_name, shard) for shard in shards],
+                min(len(shards), self.settings.jobs),
+            )
 
         return mapper
 
-    def _max_jobs(self) -> int:
-        return max(self.settings.jobs, 1)
+    def _pool_map(self, fn, items: Sequence, workers: int) -> List:
+        """``fn`` over ``items`` on the persistent pool, one future per
+        item, results in input order.
+
+        A future lost to an exception or a dead worker comes back
+        ``None`` (callers redo that item inline or skip it), and a
+        broken pool is replaced so later batches start healthy.
+        :meth:`_measure_cells_parallel` keeps a loop of its own: it adds
+        per-cell timeouts and retries.
+        """
+        global _WORKER_CTX
+        plan = faults.active_plan()
+        _WORKER_CTX = self
+        pool = self._ensure_pool(workers, plan)
+        futures = [pool.submit(fn, item) for item in items]
+        results = []
+        broken = False
+        for fut in futures:
+            try:
+                results.append(fut.result())
+            except BrokenExecutor:
+                results.append(None)
+                broken = True
+            except Exception:  # noqa: BLE001 — the caller fills the gap
+                results.append(None)
+        if broken:
+            self._replace_pool(plan, kill=True)
+        return results
 
     # -- measurements -------------------------------------------------------------
 
@@ -576,12 +565,14 @@ class EvalContext:
         configs: Sequence[PibeConfig],
         benches: Sequence[Benchmark] = tuple(LMBENCH_BENCHMARKS),
         workload_name: str = "lmbench",
-        jobs: Optional[int] = None,
-        max_retries: Optional[int] = None,
-        cell_timeout: Optional[float] = None,
     ) -> MeasureManyResult:
         """Measure every configuration; results in input order.
 
+        The executor's knobs (``jobs``, ``max_retries``,
+        ``cell_timeout``, ``retry_backoff``) come from :attr:`settings`.
+        With ``jobs == 1`` (or one pending cell) pending cells are
+        measured inline in input order, so builds happen in the order the
+        caller lists them.
         With ``jobs > 1`` the uncached cells fan out over worker
         processes, one future per cell. Each worker owns a full
         :class:`EvalContext` (on platforms that fork, inherited from this
@@ -606,27 +597,20 @@ class EvalContext:
         pending = [i for i, key in enumerate(keys) if key not in self._measurements]
         if pending:
             self._check_open()
-        s = self.settings
-        jobs = s.jobs if jobs is None else jobs
-        max_retries = s.max_retries if max_retries is None else max_retries
-        cell_timeout = s.cell_timeout if cell_timeout is None else cell_timeout
         report = FailureReport(total_cells=len(configs))
-        if pending and jobs > 1 and len(pending) > 1:
+        if pending and self.settings.jobs > 1 and len(pending) > 1:
             self._measure_cells_parallel(
-                pending,
-                configs,
-                keys,
-                benches,
-                workload_name,
-                jobs,
-                max_retries,
-                cell_timeout,
-                report,
+                pending, configs, keys, benches, workload_name, report
             )
         elif pending:
             for i in pending:
                 self._measure_cell_salvaged(
-                    i, configs[i], benches, workload_name, max_retries, report
+                    i,
+                    configs[i],
+                    benches,
+                    workload_name,
+                    self.settings.max_retries,
+                    report,
                 )
 
         results = MeasureManyResult(self._measurements.get(key) for key in keys)
@@ -738,9 +722,6 @@ class EvalContext:
         keys: List[Tuple],
         benches: Tuple[Benchmark, ...],
         workload_name: str,
-        jobs: int,
-        max_retries: int,
-        cell_timeout: Optional[float],
         report: FailureReport,
     ) -> None:
         """Fan pending cells out over the persistent pool, recovering per
@@ -752,8 +733,10 @@ class EvalContext:
             # Profile once up front so every forked worker inherits it
             # instead of redoing the training run.
             self.profile(workload_name)
+        max_retries = self.settings.max_retries
+        cell_timeout = self.settings.cell_timeout
         plan = faults.active_plan()
-        workers = min(jobs, len(pending))
+        workers = min(self.settings.jobs, len(pending))
         attempts: Dict[int, int] = {i: 0 for i in pending}
         last_kind: Dict[int, str] = {}
         degraded: List[int] = []

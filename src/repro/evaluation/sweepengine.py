@@ -56,11 +56,12 @@ from repro.core.report import build_overhead_report
 from repro.evaluation.formatting import Table, fmt_budget, pct
 from repro.evaluation.harness import EvalContext, EvalSettings
 from repro.evaluation.stats import quartiles
-from repro.hardening.defenses import DefenseConfig, NonTransientDefense
+from repro.hardening.defenses import DefenseConfig, defense_from_name
 from repro.kernel.generator import build_kernel
 from repro.kernel.spec import DEFAULT_SPEC, SCALED_SPEC, SmallSpec
+from repro.workloads import TRAINING_WORKLOADS
 from repro.workloads.base import Benchmark
-from repro.workloads.lmbench import BY_NAME, LMBENCH_BENCHMARKS
+from repro.workloads.lmbench import LMBENCH_BENCHMARKS
 
 #: Kernel scales the grid can span (name -> spec).
 SCALE_SPECS = {
@@ -69,40 +70,8 @@ SCALE_SPECS = {
     "scaled": SCALED_SPEC,
 }
 
-def llvm_cfi_only() -> DefenseConfig:
-    """Forward-edge LLVM-CFI alone: the cheap-per-branch defense whose
-    cost survives ICP promotion (it charges direct calls too), making it
-    the canonical crossover partner for retpolines."""
-    return DefenseConfig(
-        nontransient=frozenset({NonTransientDefense.LLVM_CFI})
-    )
-
-
-#: Defense selections addressable from grid specs and the CLI.
-DEFENSE_NAMES: Dict[str, Callable[[], DefenseConfig]] = {
-    "none": DefenseConfig.none,
-    "retpolines": DefenseConfig.retpolines_only,
-    "ret-retpolines": DefenseConfig.ret_retpolines_only,
-    "lvi": DefenseConfig.lvi_only,
-    "llvm-cfi": llvm_cfi_only,
-    "all": DefenseConfig.all_defenses,
-}
-
-#: Training workloads the harness understands.
-KNOWN_WORKLOADS = ("lmbench", "apache")
-
 #: The paper's Table 5 budget grid.
 PAPER_BUDGETS = (0.9, 0.99, 0.999, 0.9999, 0.999999)
-
-
-def defense_from_name(name: str) -> DefenseConfig:
-    """Resolve a CLI/JSON defense name via :data:`DEFENSE_NAMES`."""
-    try:
-        return DEFENSE_NAMES[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown defense {name!r} (known: {sorted(DEFENSE_NAMES)})"
-        ) from None
 
 
 @dataclass(frozen=True)
@@ -139,9 +108,10 @@ class SweepGrid:
         if len(set(labels)) < len(labels):
             raise ValueError(f"repeated defense label in {labels!r}")
         for workload in self.workloads:
-            if workload not in KNOWN_WORKLOADS:
+            if workload not in TRAINING_WORKLOADS:
                 raise ValueError(
-                    f"unknown workload {workload!r} (known: {KNOWN_WORKLOADS})"
+                    f"unknown workload {workload!r} "
+                    f"(known: {tuple(TRAINING_WORKLOADS)})"
                 )
         for scale in self.scales:
             if scale not in SCALE_SPECS:
@@ -185,7 +155,7 @@ FAST_GRID = SweepGrid(
     budgets=(0.5, 0.9, 0.999999),
     defenses=(
         DefenseConfig.retpolines_only(),
-        llvm_cfi_only(),
+        DefenseConfig.llvm_cfi_only(),
         DefenseConfig.all_defenses(),
     ),
     workloads=("lmbench", "apache"),
@@ -200,7 +170,7 @@ DEFAULT_GRID = SweepGrid(
         DefenseConfig.retpolines_only(),
         DefenseConfig.ret_retpolines_only(),
         DefenseConfig.lvi_only(),
-        llvm_cfi_only(),
+        DefenseConfig.llvm_cfi_only(),
         DefenseConfig.all_defenses(),
     ),
     workloads=("lmbench", "apache"),
@@ -216,8 +186,8 @@ def grid_from_spec(spec: str) -> SweepGrid:
 
     JSON fields (all optional, defaults from the ``fast`` preset):
     ``budgets`` (list of floats), ``defenses`` (names from
-    :data:`DEFENSE_NAMES`), ``workloads``, ``scales``, ``seeds``,
-    ``seed_base``, ``lax`` (bool).
+    :data:`~repro.hardening.defenses.DEFENSE_NAMES`), ``workloads``,
+    ``scales``, ``seeds``, ``seed_base``, ``lax`` (bool).
     """
     if spec in GRID_PRESETS:
         return GRID_PRESETS[spec]
@@ -549,6 +519,7 @@ def run_sweep(
     replicas of one scale share the built kernel, and every context
     shares ``settings.cache_dir``, so staged prefixes and measurements
     persist across replicas and across repeated runs (the warm path).
+    ``jobs``, when given, replaces ``settings.jobs`` for every replica.
 
     With ``client`` (a connected ``repro serve`` client) the same grid
     runs against the server instead: measurements go through its
@@ -578,6 +549,8 @@ def run_sweep(
     processes get sharing for free (id allocation restarts).
     """
     settings = settings or EvalSettings()
+    if jobs is not None:
+        settings = dataclasses.replace(settings, jobs=jobs)
     benches = tuple(benches) if benches is not None else tuple(LMBENCH_BENCHMARKS)
     say = log or (lambda message: None)
     scales, seeds = grid.scales, grid.seeds
@@ -681,18 +654,14 @@ def run_sweep(
 
                     def measure_local(configs, workload):
                         if prewarm:
-                            warmed = ctx.prewarm_prefixes(
-                                configs, workload, jobs=jobs
-                            )
+                            warmed = ctx.prewarm_prefixes(configs, workload)
                             if warmed:
                                 say(
                                     f"scale={scale} seed={seed} "
                                     f"workload={workload}: prewarmed "
                                     f"{warmed} prefix(es)"
                                 )
-                        return ctx.measure_many(
-                            configs, benches, workload, jobs=jobs
-                        )
+                        return ctx.measure_many(configs, benches, workload)
 
                     run_replica(
                         scale,
@@ -722,15 +691,3 @@ def run_sweep(
         crossovers=find_crossovers(ordered, grid),
         stats=stats,
     )
-
-
-def resolve_benches(names: Optional[Sequence[str]]) -> Tuple[Benchmark, ...]:
-    """Benchmark objects from names (default: the full LMBench suite)."""
-    if names is None:
-        return tuple(LMBENCH_BENCHMARKS)
-    try:
-        return tuple(BY_NAME[name] for name in names)
-    except KeyError as exc:
-        raise ValueError(
-            f"unknown benchmark {exc.args[0]!r} (known: {sorted(BY_NAME)})"
-        ) from None

@@ -6,6 +6,12 @@ Each ``tableN`` function runs the corresponding experiment on an
 assert on. Paper reference values appear in the table notes so printed
 output is self-describing (paper-vs-measured also lands in
 EXPERIMENTS.md).
+
+A table that measures hands its (config, workload) cells to
+:meth:`~repro.evaluation.harness.EvalContext.measure_many` before it
+reads them, in the order it reads them: at ``settings.jobs > 1`` the
+cells fan out over the context's worker pool, and at ``jobs == 1`` they
+are measured inline in that same order. The cell list lives only here.
 """
 
 from __future__ import annotations
@@ -43,10 +49,7 @@ from repro.workloads.spec import geomean_slowdown, measure_all_spec_slowdowns
 #: Defense configurations in Table 1 row order.
 TABLE1_CONFIGS: List[Tuple[str, DefenseConfig]] = [
     ("uninstrumented", DefenseConfig.none()),
-    (
-        "LLVM-CFI",
-        DefenseConfig(nontransient=frozenset({NonTransientDefense.LLVM_CFI})),
-    ),
+    ("LLVM-CFI", DefenseConfig.llvm_cfi_only()),
     (
         "stackprotector",
         DefenseConfig(
@@ -130,6 +133,7 @@ class Table2Result:
 def table2(ctx: EvalContext) -> Table2Result:
     """The two baselines: vanilla LTO latency vs the PGO-optimized kernel
     with no defenses (paper geomean: -6.6%)."""
+    ctx.measure_many([PibeConfig.lto_baseline(), PibeConfig.pibe_baseline()])
     lto = ctx.lto_measurements()
     pibe = ctx.measure(PibeConfig.pibe_baseline())
     report = build_overhead_report("pibe-baseline", lto, pibe)
@@ -166,24 +170,21 @@ def table3(ctx: EvalContext) -> Table3Result:
     vs PIBE's static ICP at two budgets (paper geomeans: 20.2%, 5.0%,
     3.9%, 1.3%)."""
     benches = TABLE3_BENCHMARKS
+    retpolines = DefenseConfig.retpolines_only()
+    unoptimized = PibeConfig.hardened(retpolines)
+    icp_99 = PibeConfig.hardened(retpolines, icp_budget=0.99)
+    icp_99999 = PibeConfig.hardened(retpolines, icp_budget=0.99999)
+    # JumpSwitches is not a measure cell: it runs after the batch on the
+    # unoptimized retpolines build, which at jobs=1 the batch has built.
+    ctx.measure_many(
+        [PibeConfig.lto_baseline(), unoptimized, icp_99, icp_99999], benches
+    )
     lto = ctx.lto_measurements(benches)
     columns = {
-        "retpolines": ctx.measure(
-            PibeConfig.hardened(DefenseConfig.retpolines_only()), benches
-        ),
+        "retpolines": ctx.measure(unoptimized, benches),
         "jumpswitches": ctx.measure_jumpswitches(benches),
-        "icp 99%": ctx.measure(
-            PibeConfig.hardened(
-                DefenseConfig.retpolines_only(), icp_budget=0.99
-            ),
-            benches,
-        ),
-        "icp 99.999%": ctx.measure(
-            PibeConfig.hardened(
-                DefenseConfig.retpolines_only(), icp_budget=0.99999
-            ),
-            benches,
-        ),
+        "icp 99%": ctx.measure(icp_99, benches),
+        "icp 99.999%": ctx.measure(icp_99999, benches),
     }
     overheads = {
         label: build_overhead_report(label, lto, values).overheads()
@@ -274,11 +275,13 @@ class Table5Result:
 def table5(ctx: EvalContext) -> Table5Result:
     """All defenses enabled, across ICP/inlining budgets (paper geomeans:
     149.1 / 133.1 / 28.0 / 15.9 / 12.7 / 10.6%)."""
+    configs = _table5_configs()
+    ctx.measure_many([PibeConfig.lto_baseline()] + [c for _, c in configs])
     lto = ctx.lto_measurements()
     overheads: Dict[str, Dict[str, float]] = {}
     geomeans: Dict[str, float] = {}
     labels = []
-    for label, config in _table5_configs():
+    for label, config in configs:
         measured = ctx.measure(config)
         report = build_overhead_report(label, lto, measured)
         overheads[label] = report.overheads()
@@ -313,13 +316,6 @@ def table6(ctx: EvalContext) -> Table6Result:
     """Geomean overhead per defense, unoptimized vs PIBE's optimal
     configuration (paper: none -6.6, retpolines 20.2→1.3, return
     retpolines 63.4→3.7, LVI-CFI 61.9→1.8, all 149.1→10.6)."""
-    lto = ctx.lto_measurements()
-
-    def geo(config: PibeConfig) -> float:
-        return build_overhead_report(
-            config.label(), lto, ctx.measure(config)
-        ).geomean
-
     rows = [
         ("None", None, PibeConfig.pibe_baseline()),
         (
@@ -345,6 +341,19 @@ def table6(ctx: EvalContext) -> Table6Result:
             PibeConfig.lax(DefenseConfig.all_defenses()),
         ),
     ]
+    cells = [PibeConfig.lto_baseline()]
+    for _, lto_config, pibe_config in rows:
+        if lto_config is not None:
+            cells.append(lto_config)
+        cells.append(pibe_config)
+    ctx.measure_many(cells)
+    lto = ctx.lto_measurements()
+
+    def geo(config: PibeConfig) -> float:
+        return build_overhead_report(
+            config.label(), lto, ctx.measure(config)
+        ).geomean
+
     lto_geomeans: Dict[str, float] = {}
     pibe_geomeans: Dict[str, float] = {}
     table = Table(
@@ -749,8 +758,11 @@ def robustness(ctx: EvalContext) -> RobustnessResult:
     """Optimize with the Apache workload, measure LMBench (paper: 22.5% vs
     10.6% matched vs 100.2% with the default inliner), plus candidate
     overlap between the workloads (paper: 58% icp / 67% inlining)."""
-    lto = ctx.lto_measurements()
     all_def = DefenseConfig.all_defenses()
+    # Only the cells measured before the apache-trained one go in the
+    # batch: the default-inliner cell is still built after it.
+    ctx.measure_many([PibeConfig.lto_baseline(), PibeConfig.lax(all_def)])
+    lto = ctx.lto_measurements()
 
     matched = build_overhead_report(
         "matched", lto, ctx.measure(PibeConfig.lax(all_def))

@@ -30,15 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional
 
-from repro.hardening.coverage import (
-    CUSTOM_METADATA_KEY,
-    icall_exempt,
-    ijump_exempt,
-    ret_exempt,
-)
-from repro.hardening.harden import HardenReport
+from repro.hardening.coverage import CUSTOM_METADATA_KEY
+from repro.hardening.harden import HardenReport, tag_branches
 from repro.ir.module import Module
-from repro.ir.types import Opcode
 from repro.passes.manager import ModulePass
 
 #: Attack vectors a defense can protect against (must match
@@ -117,9 +111,11 @@ def custom_tag_protects(tag: str, vector: str) -> bool:
 class CustomHardeningPass(ModulePass):
     """Tag branches with registered custom defenses.
 
-    Same coverage rules as the stock :class:`HardeningPass`: inline-asm
-    functions and asm sites cannot be instrumented on the forward edge;
-    boot-only returns are exempt.
+    Stamps through the stock pass's :func:`tag_branches`, so the same
+    coverage rules hold (inline-asm functions and asm sites cannot be
+    instrumented on the forward edge; boot-only returns are exempt) and
+    a staged variant copies what it tags instead of writing into the
+    prefix and baseline IR it shares.
     """
 
     name = "custom-hardening"
@@ -144,27 +140,11 @@ class CustomHardeningPass(ModulePass):
             d.name for d in (self.forward, self.backward) if d is not None
         )
         report = HardenReport(config_label=label or "custom-none")
-        for func in module:
-            for inst in func.instructions():
-                if inst.opcode == Opcode.ICALL:
-                    if not icall_exempt(func, inst) and self.forward:
-                        inst.defense = self.forward.name
-                        report.protected_icalls += 1
-                    else:
-                        report.vulnerable_icalls += 1
-                elif inst.opcode == Opcode.RET:
-                    if ret_exempt(func):
-                        report.boot_only_rets += 1
-                    elif self.backward:
-                        inst.defense = self.backward.name
-                        report.protected_rets += 1
-                    else:
-                        report.vulnerable_rets += 1
-                elif inst.opcode == Opcode.IJUMP:
-                    if not ijump_exempt(func, inst) and self.forward:
-                        inst.defense = self.forward.name
-                        report.protected_ijumps += 1
-                    else:
-                        report.vulnerable_ijumps += 1
+        tag_branches(
+            module,
+            report,
+            self.forward.name if self.forward is not None else None,
+            self.backward.name if self.backward is not None else None,
+        )
         module.metadata[CUSTOM_METADATA_KEY] = label
         return report

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional
+from typing import Callable, Dict, FrozenSet, Optional
 
 
 class Defense(enum.Enum):
@@ -101,6 +101,13 @@ class DefenseConfig:
         return cls(lvi_cfi=True)
 
     @classmethod
+    def llvm_cfi_only(cls) -> "DefenseConfig":
+        """Forward-edge LLVM-CFI alone: the cheap-per-branch defense whose
+        cost survives ICP promotion (it charges direct calls too), making
+        it the canonical crossover partner for retpolines."""
+        return cls(nontransient=frozenset({NonTransientDefense.LLVM_CFI}))
+
+    @classmethod
     def all_defenses(cls) -> "DefenseConfig":
         return cls(retpolines=True, ret_retpolines=True, lvi_cfi=True)
 
@@ -150,3 +157,25 @@ class DefenseConfig:
         for d in sorted(self.nontransient, key=lambda d: d.value):
             parts.append(d.value)
         return "+".join(parts) if parts else "none"
+
+
+#: Defense selections by name: the CLI's ``--defenses``, sweep grid specs
+#: and the benchmarks all resolve names here.
+DEFENSE_NAMES: Dict[str, Callable[[], DefenseConfig]] = {
+    "none": DefenseConfig.none,
+    "retpolines": DefenseConfig.retpolines_only,
+    "ret-retpolines": DefenseConfig.ret_retpolines_only,
+    "lvi": DefenseConfig.lvi_only,
+    "llvm-cfi": DefenseConfig.llvm_cfi_only,
+    "all": DefenseConfig.all_defenses,
+}
+
+
+def defense_from_name(name: str) -> DefenseConfig:
+    """Resolve a defense name via :data:`DEFENSE_NAMES`."""
+    try:
+        return DEFENSE_NAMES[name]()
+    except KeyError:
+        raise ValueError(
+            f"unknown defense {name!r} (known: {sorted(DEFENSE_NAMES)})"
+        ) from None

@@ -16,7 +16,7 @@ paper's coverage gaps faithfully (Section 8.6):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.hardening.coverage import (
     METADATA_KEY,
@@ -25,7 +25,7 @@ from repro.hardening.coverage import (
     ijump_exempt,
     ret_exempt,
 )
-from repro.hardening.defenses import Defense, DefenseConfig
+from repro.hardening.defenses import DefenseConfig
 from repro.ir.basicblock import BasicBlock
 from repro.ir.clone import clone_instruction_exact
 from repro.ir.module import Module
@@ -55,10 +55,8 @@ class HardenReport:
     #: per-defense-tag count of instrumented sites
     sites_by_defense: Dict[str, int] = field(default_factory=dict)
 
-    def _bump(self, defense: Defense) -> None:
-        self.sites_by_defense[defense.value] = (
-            self.sites_by_defense.get(defense.value, 0) + 1
-        )
+    def _bump(self, tag: str) -> None:
+        self.sites_by_defense[tag] = self.sites_by_defense.get(tag, 0) + 1
 
 
 class HardeningPass(ModulePass):
@@ -73,71 +71,88 @@ class HardeningPass(ModulePass):
         report = HardenReport(config_label=self.config.label())
         fwd = self.config.forward_defense()
         bwd = self.config.backward_defense()
-
-        # Single scan, copy-on-write aware down to instruction
-        # granularity: tagging only ever writes ``attrs["defense"]`` on
-        # the tagged instruction, so on a COW module (a staged variant
-        # stamped onto the shared optimized prefix) each tag copies
-        # exactly what it dirties — the function shell on the first tag
-        # in a function, the block's instruction list on the first tag in
-        # a block, and the one tagged instruction. Untagged blocks and
-        # instructions stay shared with the prefix, which makes the stamp
-        # cost proportional to the number of tags rather than to module
-        # size. On an ordinary (fully owned) module every instruction is
-        # tagged in place, exactly as before COW existed.
-        for name in list(module.functions):
-            func = module.functions[name]
-            # instructions belong to the COW source; never mutate them
-            shared = module.is_cow_shared(name)
-            func_owned = not shared
-            for label in list(func.blocks):
-                block = func.blocks[label]
-                insts = block.instructions
-                block_owned = not shared
-                for i in range(len(insts)):
-                    inst = insts[i]
-                    opcode = inst.opcode
-                    tag = None
-                    if opcode == Opcode.ICALL:
-                        if fwd is not None and not icall_exempt(func, inst):
-                            tag = fwd
-                            report.protected_icalls += 1
-                        else:
-                            report.vulnerable_icalls += 1
-                    elif opcode == Opcode.RET:
-                        # Returns are protectable even in assembly
-                        # functions (objtool-style return-thunk patching);
-                        # only boot-only code is exempt (Section 8.6).
-                        if ret_exempt(func):
-                            report.boot_only_rets += 1
-                        elif bwd is not None:
-                            tag = bwd
-                            report.protected_rets += 1
-                        else:
-                            report.vulnerable_rets += 1
-                    elif opcode == Opcode.IJUMP:
-                        # Jump-table IJUMPs only exist when jump tables
-                        # were allowed (no transient defenses); opaque asm
-                        # IJUMPs can never be instrumented.
-                        if fwd is not None and not ijump_exempt(func, inst):
-                            tag = fwd
-                            report.protected_ijumps += 1
-                        else:
-                            report.vulnerable_ijumps += 1
-                    if tag is not None:
-                        if shared:
-                            if not func_owned:
-                                func = module.mutable_shell(name)
-                                func_owned = True
-                            if not block_owned:
-                                block = BasicBlock(label, insts)
-                                func.blocks[label] = block
-                                insts = block.instructions
-                                block_owned = True
-                            inst = clone_instruction_exact(inst)
-                            insts[i] = inst
-                        inst.defense = tag.value
-                        report._bump(tag)
-
+        tag_branches(
+            module,
+            report,
+            fwd.value if fwd is not None else None,
+            bwd.value if bwd is not None else None,
+        )
         module.metadata[METADATA_KEY] = self.config
         return report
+
+
+def tag_branches(
+    module: Module,
+    report: HardenReport,
+    fwd: Optional[str],
+    bwd: Optional[str],
+) -> None:
+    """Tag every instrumentable branch of ``module``: indirect calls and
+    jumps with ``fwd``, returns with ``bwd`` (``None`` leaves that edge
+    vulnerable), and count each site in ``report``. The stock and the
+    custom hardening passes both stamp through here.
+
+    Single scan, copy-on-write aware down to instruction granularity:
+    tagging only ever writes ``attrs["defense"]`` on the tagged
+    instruction, so on a COW module (a staged variant stamped onto the
+    shared optimized prefix) each tag copies exactly what it dirties —
+    the function shell on the first tag in a function, the block's
+    instruction list on the first tag in a block, and the one tagged
+    instruction. Untagged blocks and instructions stay shared with the
+    prefix, which makes the stamp cost proportional to the number of
+    tags rather than to module size. On an ordinary (fully owned) module
+    every instruction is tagged in place, exactly as before COW existed.
+    """
+    for name in list(module.functions):
+        func = module.functions[name]
+        # instructions belong to the COW source; never mutate them
+        shared = module.is_cow_shared(name)
+        func_owned = not shared
+        for label in list(func.blocks):
+            block = func.blocks[label]
+            insts = block.instructions
+            block_owned = not shared
+            for i in range(len(insts)):
+                inst = insts[i]
+                opcode = inst.opcode
+                tag = None
+                if opcode == Opcode.ICALL:
+                    if fwd is not None and not icall_exempt(func, inst):
+                        tag = fwd
+                        report.protected_icalls += 1
+                    else:
+                        report.vulnerable_icalls += 1
+                elif opcode == Opcode.RET:
+                    # Returns are protectable even in assembly
+                    # functions (objtool-style return-thunk patching);
+                    # only boot-only code is exempt (Section 8.6).
+                    if ret_exempt(func):
+                        report.boot_only_rets += 1
+                    elif bwd is not None:
+                        tag = bwd
+                        report.protected_rets += 1
+                    else:
+                        report.vulnerable_rets += 1
+                elif opcode == Opcode.IJUMP:
+                    # Jump-table IJUMPs only exist when jump tables
+                    # were allowed (no transient defenses); opaque asm
+                    # IJUMPs can never be instrumented.
+                    if fwd is not None and not ijump_exempt(func, inst):
+                        tag = fwd
+                        report.protected_ijumps += 1
+                    else:
+                        report.vulnerable_ijumps += 1
+                if tag is not None:
+                    if shared:
+                        if not func_owned:
+                            func = module.mutable_shell(name)
+                            func_owned = True
+                        if not block_owned:
+                            block = BasicBlock(label, insts)
+                            func.blocks[label] = block
+                            insts = block.instructions
+                            block_owned = True
+                        inst = clone_instruction_exact(inst)
+                        insts[i] = inst
+                    inst.defense = tag
+                    report._bump(tag)

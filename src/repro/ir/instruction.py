@@ -39,11 +39,6 @@ def reserve_site_ids(up_to: int) -> None:
         _max_issued = up_to
 
 
-def site_id_state() -> int:
-    """Snapshot of the global site-id allocator (the highest issued id)."""
-    return _max_issued
-
-
 @contextlib.contextmanager
 def site_id_checkpoint() -> Iterator[int]:
     """Run a block against a snapshotted site-id allocator, restoring it on

@@ -5,15 +5,19 @@ The textual printer/parser pair (:mod:`repro.ir.printer` /
 and deliberately lossy about bookkeeping that people don't care about
 (stack frame sizes, subsystem tags, module metadata). The staged build
 engine's disk-cached optimized-prefix modules need the opposite trade —
-a machine format whose round trip is *exact*: ``module_from_dict(
-module_to_dict(m))`` fingerprints identically to ``m`` with
-``include_sites=True``, so a variant stamped on a disk-loaded prefix is
-bit-identical to one stamped on the freshly built prefix.
+a machine format whose round trip is *exact*. A module is written as one
+header (:func:`module_header_to_dict`) plus function-body chunks
+(:func:`functions_to_chunk`), and read back with
+:func:`functions_from_chunk` and :func:`module_from_header`; the result
+fingerprints identically to the original with ``include_sites=True``, so
+a variant stamped on a disk-loaded prefix is bit-identical to one
+stamped on the freshly built prefix.
 
 Everything JSON can't express natively is covered explicitly:
 
-- instruction ``site_id`` values survive verbatim and the global id
-  allocator is advanced past the maximum restored id (like the parser);
+- instruction ``site_id`` values survive verbatim, and each chunk
+  reports its maximum so the caller can advance the global id allocator
+  past it (like the parser);
 - ``value_profile`` entries are restored as ``(target, count)`` tuples
   (the printer renders tuples and lists differently);
 - function attribute sets and the applied :class:`DefenseConfig` (when a
@@ -33,7 +37,7 @@ from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
-from repro.ir.instruction import Instruction, reserve_site_ids
+from repro.ir.instruction import Instruction
 from repro.ir.module import FunctionPointerTable, Module
 from repro.ir.types import ATTR_VALUE_PROFILE, FunctionAttr, Opcode
 
@@ -165,28 +169,12 @@ def _decode_metadata(metadata: Dict[str, Any]) -> Dict[str, Any]:
     return decoded
 
 
-def module_to_dict(module: Module) -> Dict[str, Any]:
-    """Render ``module`` as JSON-encodable data with an exact round trip."""
-    return {
-        "serial_version": SERIAL_VERSION,
-        "name": module.name,
-        "functions": [
-            _function_to_dict(f) for f in module.functions.values()
-        ],
-        "fptr_tables": [
-            {"name": t.name, "entries": list(t.entries)}
-            for t in module.fptr_tables.values()
-        ],
-        "syscalls": dict(module.syscalls),
-        "metadata": _encode_metadata(module.metadata),
-    }
-
-
 def module_header_to_dict(module: Module) -> Dict[str, Any]:
-    """The chunked codec's header half: everything in
-    :func:`module_to_dict` except the function bodies, plus the explicit
-    function order (chunks group functions by sorted name, so
-    concatenating them would scramble module iteration order)."""
+    """The codec's header half: the module name, pointer tables,
+    syscalls and metadata, plus the explicit function order (chunks
+    group functions by sorted name, so concatenating them would scramble
+    module iteration order). The bodies go into
+    :func:`functions_to_chunk` payloads."""
     return {
         "serial_version": SERIAL_VERSION,
         "name": module.name,
@@ -233,7 +221,7 @@ def functions_from_chunk(
 ) -> Tuple[Dict[str, Function], int]:
     """Decode one chunk payload into ``{name: Function}`` plus the maximum
     site id it contains (callers reserve the global allocator once over
-    all chunks, mirroring :func:`module_from_dict`).
+    all chunks, so instructions created afterwards never collide).
 
     Raises ``ValueError`` on a layout-version mismatch.
     """
@@ -283,36 +271,4 @@ def module_from_header(
         )
     module.syscalls = dict(header.get("syscalls", {}))
     module.metadata = _decode_metadata(header.get("metadata", {}))
-    return module
-
-
-def module_from_dict(data: Dict[str, Any]) -> Module:
-    """Rebuild a module serialized by :func:`module_to_dict`.
-
-    Raises ``ValueError`` on a layout-version mismatch. Site ids are
-    restored verbatim and the global allocator is advanced past the
-    maximum, so instructions created afterwards never collide.
-    """
-    version = data.get("serial_version")
-    if version != SERIAL_VERSION:
-        raise ValueError(
-            f"serialized module layout {version!r} != {SERIAL_VERSION!r}"
-        )
-    module = Module(data.get("name", "module"))
-    max_site = 0
-    for func_data in data.get("functions", ()):
-        func = _function_from_dict(func_data)
-        module.functions[func.name] = func
-        for block in func.blocks.values():
-            for inst in block.instructions:
-                site = inst.site_id
-                if site is not None and site > max_site:
-                    max_site = site
-    for table in data.get("fptr_tables", ()):
-        module.fptr_tables[table["name"]] = FunctionPointerTable(
-            table["name"], list(table.get("entries", ()))
-        )
-    module.syscalls = dict(data.get("syscalls", {}))
-    module.metadata = _decode_metadata(data.get("metadata", {}))
-    reserve_site_ids(max_site)
     return module

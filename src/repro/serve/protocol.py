@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.config import PibeConfig
 from repro.hardening.defenses import DefenseConfig, NonTransientDefense
+from repro.workloads import TRAINING_WORKLOADS
 from repro.workloads.base import Benchmark
-from repro.workloads.lmbench import BY_NAME, LMBENCH_BENCHMARKS
+from repro.workloads.lmbench import resolve_benches
 
 #: Bump on incompatible wire-format changes; echoed by ``ping``.
 PROTOCOL_VERSION = 1
@@ -151,23 +152,20 @@ def config_from_dict(data: Any) -> PibeConfig:
     return PibeConfig(**kwargs)
 
 
-def benches_from_names(names: Optional[List[str]]) -> Tuple[Benchmark, ...]:
-    """Resolve benchmark names (default: the full LMBench suite)."""
-    if names is None:
-        return tuple(LMBENCH_BENCHMARKS)
-    if not isinstance(names, (list, tuple)) or not names:
+def benches_from_params(params: Dict[str, Any]) -> Tuple[Benchmark, ...]:
+    """The ``benches`` of a request (default: the full LMBench suite)."""
+    names = params.get("benches")
+    if names is not None and not (isinstance(names, (list, tuple)) and names):
         raise ProtocolError("benches must be a non-empty list of names")
     try:
-        return tuple(BY_NAME[name] for name in names)
-    except KeyError as exc:
-        raise ProtocolError(
-            f"unknown benchmark {exc.args[0]!r} (known: {sorted(BY_NAME)})"
-        ) from None
+        return resolve_benches(names)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
 
 
 def workload_from_params(params: Dict[str, Any]) -> str:
     workload = params.get("workload", "lmbench")
-    if workload not in ("lmbench", "apache"):
+    if not isinstance(workload, str) or workload not in TRAINING_WORKLOADS:
         raise ProtocolError(f"unknown workload {workload!r}")
     return workload
 

@@ -448,7 +448,7 @@ class ReproServer:
 
     async def _op_measure(self, request: Request) -> Dict[str, Any]:
         config = protocol.config_from_dict(request.params.get("config", {}))
-        benches = protocol.benches_from_names(request.params.get("benches"))
+        benches = protocol.benches_from_params(request.params)
         workload = protocol.workload_from_params(request.params)
         values, cached = await self._measure_cell(config, benches, workload)
         return {
@@ -463,7 +463,7 @@ class ReproServer:
         if not isinstance(raw_configs, list) or not raw_configs:
             raise ProtocolError("measure_many needs a non-empty 'configs' list")
         configs = [protocol.config_from_dict(c) for c in raw_configs]
-        benches = protocol.benches_from_names(request.params.get("benches"))
+        benches = protocol.benches_from_params(request.params)
         workload = protocol.workload_from_params(request.params)
         # Enqueue every cell before the first await so the whole request
         # lands in one dispatcher round (one pool batch); duplicates and

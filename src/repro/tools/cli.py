@@ -30,28 +30,24 @@ from repro.core.config import PibeConfig
 from repro.core.pipeline import PibePipeline
 from repro.core.report import build_overhead_report
 from repro.cpu.attacks import ALL_ATTACKS, attack_surface
-from repro.hardening.defenses import DefenseConfig
+from repro.hardening.defenses import (
+    DEFENSE_NAMES,
+    DefenseConfig,
+    defense_from_name,
+)
 from repro.hardening.harden import applied_config
 from repro.ir.module import Module
 from repro.ir.parser import dump_module, parse_module
 from repro.kernel.generator import build_kernel, kernel_stats
 from repro.kernel.spec import DEFAULT_SPEC, KernelSpec, SmallSpec
 from repro.profiling.profile_data import EdgeProfile
-from repro.workloads.apachebench import apachebench_workload
+from repro.workloads import TRAINING_WORKLOADS
 from repro.workloads.base import measure_suite
 from repro.workloads.lmbench import (
     LMBENCH_BENCHMARKS,
     TABLE3_BENCHMARKS,
-    lmbench_workload,
+    resolve_benches,
 )
-
-DEFENSE_CHOICES = {
-    "none": DefenseConfig.none,
-    "retpolines": DefenseConfig.retpolines_only,
-    "ret-retpolines": DefenseConfig.ret_retpolines_only,
-    "lvi": DefenseConfig.lvi_only,
-    "all": DefenseConfig.all_defenses,
-}
 
 SUITES = {
     "lmbench": LMBENCH_BENCHMARKS,
@@ -118,10 +114,7 @@ def cmd_stats(args) -> int:
 def cmd_profile(args) -> int:
     """Run the profiling phase and write the edge profile as JSON."""
     module = _load_kernel(args)
-    if args.workload == "lmbench":
-        workload = lmbench_workload(ops_scale=args.ops_scale)
-    else:
-        workload = apachebench_workload(ops_scale=args.ops_scale)
+    workload = TRAINING_WORKLOADS[args.workload](ops_scale=args.ops_scale)
     pipeline = PibePipeline(module)
     profile = pipeline.profile(workload, iterations=args.iterations)
     Path(args.output).write_text(profile.to_json())
@@ -140,7 +133,7 @@ def cmd_optimize(args) -> int:
     if args.profile:
         profile = EdgeProfile.from_json(Path(args.profile).read_text())
     config = PibeConfig(
-        defenses=DEFENSE_CHOICES[args.defenses](),
+        defenses=defense_from_name(args.defenses),
         icp_budget=args.icp_budget,
         inline_budget=args.inline_budget,
         lax_heuristics=args.lax,
@@ -376,16 +369,16 @@ def cmd_evaluate(args) -> int:
     from repro.evaluation import tables
     from repro.evaluation.harness import EvalContext
 
-    ctx = EvalContext(_eval_settings(args))
     generators = {name: run for name, _, run in tables.EXPERIMENTS}
     chosen = args.experiment or list(generators)
-    for name in chosen:
-        if name not in generators:
-            print(f"unknown experiment {name!r}", file=sys.stderr)
-            return 2
-        result = generators[name](ctx)
-        print(result.table.to_text())
-        print()
+    with EvalContext(_eval_settings(args)) as ctx:
+        for name in chosen:
+            if name not in generators:
+                print(f"unknown experiment {name!r}", file=sys.stderr)
+                return 2
+            result = generators[name](ctx)
+            print(result.table.to_text())
+            print()
     return 0
 
 
@@ -574,7 +567,7 @@ def cmd_serve(args) -> int:
 def _client_config(args) -> PibeConfig:
     """A PibeConfig from the optimize-style client flags."""
     return PibeConfig(
-        defenses=DEFENSE_CHOICES[args.defenses](),
+        defenses=defense_from_name(args.defenses),
         icp_budget=args.icp_budget,
         inline_budget=args.inline_budget,
         lax_heuristics=args.lax,
@@ -587,11 +580,7 @@ def cmd_sweep(args) -> int:
     import dataclasses
     import os
 
-    from repro.evaluation.sweepengine import (
-        grid_from_spec,
-        resolve_benches,
-        run_sweep,
-    )
+    from repro.evaluation.sweepengine import grid_from_spec, run_sweep
 
     def log(message: str) -> None:
         print(message, file=sys.stderr)
@@ -636,7 +625,6 @@ def cmd_sweep(args) -> int:
             grid,
             _eval_settings(args),
             benches=benches,
-            jobs=args.jobs,
             log=log,
             prewarm=not args.no_prewarm,
         )
@@ -715,7 +703,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="run the profiling phase")
     _add_kernel_args(p)
     p.add_argument(
-        "-w", "--workload", choices=("lmbench", "apache"), default="lmbench"
+        "-w",
+        "--workload",
+        choices=list(TRAINING_WORKLOADS),
+        default="lmbench",
     )
     p.add_argument("--iterations", type=int, default=3)
     p.add_argument("--ops-scale", type=float, default=1.0)
@@ -726,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel_args(p)
     p.add_argument("-p", "--profile", help="profile JSON from `profile`")
     p.add_argument(
-        "--defenses", choices=sorted(DEFENSE_CHOICES), default="all"
+        "--defenses", choices=sorted(DEFENSE_NAMES), default="all"
     )
     p.add_argument("--icp-budget", type=float, default=None)
     p.add_argument("--inline-budget", type=float, default=None)
@@ -961,14 +952,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unix", help="unix socket path of the server")
     p.add_argument("--timeout", type=float, default=300.0)
     p.add_argument(
-        "--defenses", choices=sorted(DEFENSE_CHOICES), default="all",
+        "--defenses", choices=sorted(DEFENSE_NAMES), default="all",
         help="config for build/measure/lint ops",
     )
     p.add_argument("--icp-budget", type=float, default=None)
     p.add_argument("--inline-budget", type=float, default=None)
     p.add_argument("--lax", action="store_true")
     p.add_argument(
-        "-w", "--workload", choices=("lmbench", "apache"), default="lmbench"
+        "-w",
+        "--workload",
+        choices=list(TRAINING_WORKLOADS),
+        default="lmbench",
     )
     p.add_argument(
         "--bench", help="comma-separated benchmark names (measure op)"

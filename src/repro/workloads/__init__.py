@@ -42,6 +42,14 @@ from repro.workloads.spec import (
     measure_spec_slowdown,
 )
 
+#: Training workloads by name (factories taking ``ops_scale``): profiling
+#: in the harness and the CLI, sweep grids and the serve protocol all
+#: resolve names here.
+TRAINING_WORKLOADS = {
+    "lmbench": lmbench_workload,
+    "apache": apachebench_workload,
+}
+
 __all__ = [
     "ALL_MACROBENCHMARKS",
     "APACHE",
@@ -58,6 +66,7 @@ __all__ = [
     "SPEC_COMPONENTS",
     "SpecComponent",
     "TABLE3_BENCHMARKS",
+    "TRAINING_WORKLOADS",
     "ThroughputResult",
     "Workload",
     "apachebench_workload",

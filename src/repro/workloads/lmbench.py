@@ -8,7 +8,7 @@ stays fast while heavy benches still accumulate stable statistics.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.workloads.base import Benchmark, Workload
 
@@ -37,6 +37,19 @@ LMBENCH_BENCHMARKS: List[Benchmark] = [
 ]
 
 BY_NAME: Dict[str, Benchmark] = {b.name: b for b in LMBENCH_BENCHMARKS}
+
+
+def resolve_benches(names: Optional[Sequence[str]]) -> Tuple[Benchmark, ...]:
+    """Benchmark objects from names (default: the full suite)."""
+    if names is None:
+        return tuple(LMBENCH_BENCHMARKS)
+    try:
+        return tuple(BY_NAME[name] for name in names)
+    except KeyError as exc:
+        raise ValueError(
+            f"unknown benchmark {exc.args[0]!r} (known: {sorted(BY_NAME)})"
+        ) from None
+
 
 #: The retpoline-sensitive subset used in Table 3.
 TABLE3_BENCHMARKS: List[Benchmark] = [

@@ -243,13 +243,13 @@ def test_prewarm_prefixes_hands_over_via_disk(tmp_path):
         DefenseConfig.retpolines_only(), lax_heuristics=True
     )
     with EvalContext(settings) as ctx:
-        warmed = ctx.prewarm_prefixes(configs, "lmbench", jobs=2)
+        warmed = ctx.prewarm_prefixes(configs, "lmbench")
         assert warmed == len(LADDER)
         profile = ctx.profile("lmbench")
         for config in configs[1:]:
             assert ctx.pipeline.prefix_state(config, profile) == "disk"
         # everything warm: a second prewarm dispatches nothing
-        assert ctx.prewarm_prefixes(configs, "lmbench", jobs=2) == 0
+        assert ctx.prewarm_prefixes(configs, "lmbench") == 0
         build = ctx.variant(configs[1], "lmbench")
         validate_module(build.module)
         assert ctx.pipeline.stats["prefix_disk_hits"] == 1
@@ -257,10 +257,10 @@ def test_prewarm_prefixes_hands_over_via_disk(tmp_path):
 
 
 def test_prewarm_noop_without_cache_or_jobs(small_kernel):
-    settings = EvalSettings(spec=SmallSpec(), jobs=1)
     configs = _ladder_configs(
         DefenseConfig.retpolines_only(), lax_heuristics=True
     )
-    with EvalContext(settings, kernel=small_kernel) as ctx:
-        assert ctx.prewarm_prefixes(configs, "lmbench", jobs=1) == 0
-        assert ctx.prewarm_prefixes(configs, "lmbench", jobs=4) == 0  # no cache
+    for jobs in (1, 4):  # jobs=4 still has no cache to hand prefixes back
+        settings = EvalSettings(spec=SmallSpec(), jobs=jobs)
+        with EvalContext(settings, kernel=small_kernel) as ctx:
+            assert ctx.prewarm_prefixes(configs, "lmbench") == 0

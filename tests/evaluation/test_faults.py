@@ -128,8 +128,8 @@ def test_transient_exception_retries_to_success_sequential():
     faults.install(
         FaultPlan(specs=[FaultSpec(point="measure.cell", mode="raise", times=1)])
     )
-    ctx = EvalContext(_settings(max_retries=2))
-    results = ctx.measure_many(configs, BENCHES, jobs=1)
+    ctx = EvalContext(_settings(jobs=1, max_retries=2))
+    results = ctx.measure_many(configs, BENCHES)
     report = results.failure_report
     assert all(r is not None for r in results)
     assert report.ok
@@ -149,8 +149,8 @@ def test_permanent_failure_reported_sequential():
             ]
         )
     )
-    ctx = EvalContext(_settings(max_retries=1))
-    results = ctx.measure_many(configs, BENCHES, jobs=1)
+    ctx = EvalContext(_settings(jobs=1, max_retries=1))
+    results = ctx.measure_many(configs, BENCHES)
     report = results.failure_report
     assert results[0] is not None and results[2] is not None
     assert results[1] is None
@@ -183,7 +183,7 @@ def test_crashing_worker_completed_cells_survive(tmp_path):
     assert report.retries >= 1  # the crashed cell was resubmitted
     # identical to an undisturbed sequential run
     faults.clear()
-    baseline = EvalContext(_settings()).measure_many(configs, BENCHES, jobs=1)
+    baseline = EvalContext(_settings(jobs=1)).measure_many(configs, BENCHES)
     assert list(results) == list(baseline)
 
 
@@ -203,8 +203,10 @@ def test_hanging_worker_times_out_and_recovers(tmp_path):
             ]
         )
     )
-    ctx = EvalContext(_settings(tmp_path, jobs=2, max_retries=2))
-    results = ctx.measure_many(configs, BENCHES, cell_timeout=2.0)
+    ctx = EvalContext(
+        _settings(tmp_path, jobs=2, max_retries=2, cell_timeout=2.0)
+    )
+    results = ctx.measure_many(configs, BENCHES)
     report = results.failure_report
     assert all(r is not None for r in results)
     assert report.ok
@@ -310,7 +312,7 @@ def test_acceptance_scenario_partial_table_with_exact_failures(tmp_path):
 
     # non-failed cells match an undisturbed sequential regeneration
     faults.clear()
-    baseline = EvalContext(_settings()).measure_many(configs, BENCHES, jobs=1)
+    baseline = EvalContext(_settings(jobs=1)).measure_many(configs, BENCHES)
     for i in range(8):
         if i != 6:
             assert results[i] == baseline[i]
@@ -321,7 +323,7 @@ def test_no_faults_parallel_identical_to_sequential(tmp_path):
     par = EvalContext(_settings(tmp_path, jobs=2)).measure_many(
         configs, BENCHES
     )
-    seq = EvalContext(_settings()).measure_many(configs, BENCHES, jobs=1)
+    seq = EvalContext(_settings(jobs=1)).measure_many(configs, BENCHES)
     assert list(par) == list(seq)
     assert par.failure_report.ok
     assert par.failure_report.retries == 0

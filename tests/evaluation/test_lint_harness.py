@@ -86,7 +86,7 @@ def test_parallel_lint_matches_inline(tmp_path):
     par = EvalContext(_settings(tmp_path / "par", jobs=2))
     seq = EvalContext(_settings())
     try:
-        parallel = par.lint(config, jobs=2)
+        parallel = par.lint(config)
         inline = seq.lint(config)
         assert parallel.to_json() == inline.to_json()
     finally:

@@ -23,7 +23,6 @@ from repro.evaluation.sweepengine import (
     defense_from_name,
     find_crossovers,
     grid_from_spec,
-    llvm_cfi_only,
     mark_pareto_frontier,
     run_sweep,
 )
@@ -65,7 +64,7 @@ def test_grid_rejects_repeats():
         retpolines=True,
         ret_retpolines=True,
         lvi_cfi=True,
-        nontransient=llvm_cfi_only().nontransient,
+        nontransient=DefenseConfig.llvm_cfi_only().nontransient,
     )
     with pytest.raises(ValueError, match="repeated defense"):
         SweepGrid(
@@ -83,7 +82,7 @@ def test_presets_meet_acceptance_shape():
     # 2 seeds (the acceptance shape), and both presets must include the
     # crossover pair: retpolines against the cheap-per-branch CFI.
     for grid in (FAST_GRID, DEFAULT_GRID):
-        assert llvm_cfi_only() in grid.defenses
+        assert DefenseConfig.llvm_cfi_only() in grid.defenses
         assert DefenseConfig.retpolines_only() in grid.defenses
         assert 0.5 in grid.budgets
     assert len(FAST_GRID.defenses) >= 3
@@ -95,7 +94,7 @@ def test_presets_meet_acceptance_shape():
 
 def test_defense_from_name():
     assert defense_from_name("retpolines") == DefenseConfig.retpolines_only()
-    assert defense_from_name("llvm-cfi") == llvm_cfi_only()
+    assert defense_from_name("llvm-cfi") == DefenseConfig.llvm_cfi_only()
     with pytest.raises(ValueError, match="unknown defense"):
         defense_from_name("fineibt")
 
@@ -107,7 +106,10 @@ def test_grid_from_spec_preset_and_inline_json():
         ' "workloads": ["apache"], "seeds": 4}'
     )
     assert grid.budgets == (0.5, 0.99)
-    assert grid.defenses == (DefenseConfig.retpolines_only(), llvm_cfi_only())
+    assert grid.defenses == (
+        DefenseConfig.retpolines_only(),
+        DefenseConfig.llvm_cfi_only(),
+    )
     assert grid.workloads == ("apache",)
     assert grid.seeds == 4
     # unspecified fields inherit from the fast preset
@@ -372,7 +374,10 @@ def test_measure_deduped_collapses_equal_configs(ctx):
 def test_run_sweep_end_to_end(ctx):
     grid = SweepGrid(
         budgets=(0.5, 0.999999),
-        defenses=(DefenseConfig.retpolines_only(), llvm_cfi_only()),
+        defenses=(
+            DefenseConfig.retpolines_only(),
+            DefenseConfig.llvm_cfi_only(),
+        ),
         workloads=("lmbench",),
         scales=("small",),
         seeds=2,

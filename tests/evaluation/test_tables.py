@@ -68,6 +68,31 @@ def test_table5_budget_progression(ctx):
     assert g["lax heuristics"] < g["no opt"] / 5
 
 
+def test_measuring_tables_fan_out_at_jobs_2():
+    """At jobs > 1 the measuring tables hand their cells to the worker
+    pool: the parent process builds no variant for Tables 5, 6 and 2,
+    for Table 3 only the image JumpSwitches runs on, and every value
+    equals the sequential run's."""
+    import dataclasses
+
+    runs = {}
+    for jobs in (2, 1):
+        settings = dataclasses.replace(EvalSettings.fast(), jobs=jobs)
+        with EvalContext(settings) as run_ctx:
+            builds = []
+            values = []
+            for table in (tables.table5, tables.table6, tables.table2):
+                result = table(run_ctx)
+                builds.append(run_ctx.pipeline.stats["staged_builds"])
+                values.append(result.table.to_text())
+            t3 = tables.table3(run_ctx)
+            builds.append(run_ctx.pipeline.stats["staged_builds"])
+            values.append(t3.geomeans)
+            runs[jobs] = builds, values
+    assert runs[2][0] == [0, 0, 0, 1]
+    assert runs[2][1] == runs[1][1]
+
+
 def test_table6_per_defense_reduction(ctx):
     result = tables.table6(ctx)
     for defense in ("Retpolines", "Return retpolines", "LVI-CFI", "All"):

@@ -174,3 +174,43 @@ def test_pibe_reduces_custom_defense_overhead(small_pipeline, small_profile):
     opt_overhead = fast / base - 1
     assert unopt_overhead > 0.5
     assert opt_overhead < unopt_overhead / 3
+
+
+def _custom_tags(module):
+    tags = {PSCFI_FWD.name, PSCFI_RET.name}
+    return sum(
+        1
+        for func in module
+        for inst in func.instructions()
+        if inst.defense in tags
+    )
+
+
+def test_custom_pass_copies_shared_ir_of_a_staged_variant(
+    small_kernel, small_profile
+):
+    """A staged variant shares its IR with the cached prefix and the
+    baseline kernel (copy-on-write); stamping it must copy what it tags
+    and leave both sources untagged."""
+    import copy
+
+    from repro.core.config import PibeConfig
+    from repro.core.pipeline import PibePipeline
+
+    pipeline = PibePipeline(copy.deepcopy(small_kernel))
+    config = PibeConfig.pibe_baseline()
+    variant = pipeline.build_variant(config, small_profile).module
+    stamp = CustomHardeningPass(forward=PSCFI_FWD, backward=PSCFI_RET)
+    on_copy = stamp.run(copy.deepcopy(variant))
+    report = stamp.run(variant)
+    assert report == on_copy
+    assert report.protected_icalls > 0 and report.protected_rets > 0
+    assert _custom_tags(variant) == (
+        report.protected_icalls
+        + report.protected_rets
+        + report.protected_ijumps
+    )
+    fresh = pipeline.build_variant(config, small_profile).module
+    assert fresh is not variant
+    assert _custom_tags(fresh) == 0
+    assert _custom_tags(pipeline.baseline) == 0

@@ -1,10 +1,10 @@
 """The exact JSON codec behind the disk-cached optimized prefix.
 
-The contract is stronger than the textual printer/parser pair: a
-``module_from_dict(module_to_dict(m))`` round trip must fingerprint
-identically to ``m`` with ``include_sites=True``, because variants are
-stamped directly onto disk-loaded prefixes and must stay bit-identical
-to ones stamped on freshly built prefixes."""
+The contract is stronger than the textual printer/parser pair: a module
+written as a header plus function chunks and read back must fingerprint
+identically to the original with ``include_sites=True``, because
+variants are stamped directly onto disk-loaded prefixes and must stay
+bit-identical to ones stamped on freshly built prefixes."""
 
 import json
 
@@ -14,10 +14,16 @@ from repro.hardening.defenses import DefenseConfig
 from repro.ir.builder import IRBuilder, build_leaf
 from repro.ir.fingerprint import module_fingerprint
 from repro.ir.function import Function
-from repro.ir.instruction import Instruction
+from repro.ir.instruction import Instruction, reserve_site_ids
 from repro.ir.module import FunctionPointerTable, Module
 from repro.ir.printer import format_module
-from repro.ir.serialize import SERIAL_VERSION, module_from_dict, module_to_dict
+from repro.ir.serialize import (
+    SERIAL_VERSION,
+    functions_from_chunk,
+    functions_to_chunk,
+    module_from_header,
+    module_header_to_dict,
+)
 from repro.ir.types import ATTR_VALUE_PROFILE, FunctionAttr, Opcode
 from repro.ir.validate import validate_module
 
@@ -49,9 +55,39 @@ def _rich_module():
     return module
 
 
+def _encode(module):
+    """The header and one chunk per function, in sorted-name order the
+    way the prefix cache groups them (so the header's function order is
+    what restores module order)."""
+    header = module_header_to_dict(module)
+    chunks = [
+        functions_to_chunk([module.functions[name]])
+        for name in sorted(module.functions)
+    ]
+    return header, chunks
+
+
+def _decode(header, chunks):
+    functions = {}
+    max_site = 0
+    for chunk in chunks:
+        decoded, chunk_max = functions_from_chunk(chunk)
+        functions.update(decoded)
+        max_site = max(max_site, chunk_max)
+    return module_from_header(header, functions), max_site
+
+
+def _roundtrip(module, via_text=False):
+    header, chunks = _encode(module)
+    if via_text:
+        header = json.loads(json.dumps(header))
+        chunks = [json.loads(json.dumps(chunk)) for chunk in chunks]
+    return _decode(header, chunks)[0]
+
+
 def test_roundtrip_fingerprint_exact():
     module = _rich_module()
-    restored = module_from_dict(module_to_dict(module))
+    restored = _roundtrip(module)
     validate_module(restored)
     assert module_fingerprint(restored, include_sites=True) == (
         module_fingerprint(module, include_sites=True)
@@ -63,8 +99,7 @@ def test_roundtrip_survives_json_text():
     """The payload must survive an actual dumps/loads cycle (the disk
     path), not just the in-memory dict."""
     module = _rich_module()
-    payload = json.loads(json.dumps(module_to_dict(module)))
-    restored = module_from_dict(payload)
+    restored = _roundtrip(module, via_text=True)
     assert module_fingerprint(restored, include_sites=True) == (
         module_fingerprint(module, include_sites=True)
     )
@@ -72,7 +107,7 @@ def test_roundtrip_survives_json_text():
 
 def test_roundtrip_value_profiles_are_tuples():
     module = _rich_module()
-    restored = module_from_dict(json.loads(json.dumps(module_to_dict(module))))
+    restored = _roundtrip(module, via_text=True)
     (icall,) = [
         inst
         for inst in restored.get("main").instructions()
@@ -85,7 +120,7 @@ def test_roundtrip_value_profiles_are_tuples():
 
 def test_roundtrip_defense_config_metadata():
     module = _rich_module()
-    restored = module_from_dict(module_to_dict(module))
+    restored = _roundtrip(module, via_text=True)
     assert restored.metadata["defenses"] == DefenseConfig.all_defenses()
     assert isinstance(restored.metadata["defenses"], DefenseConfig)
     assert list(restored.metadata["note"]) == ["b", "a"]
@@ -98,30 +133,45 @@ def test_site_ids_survive_and_allocator_advances():
         for inst in module.get("main").instructions()
         if inst.site_id is not None
     ]
-    restored = module_from_dict(module_to_dict(module))
+    restored, max_site = _decode(*_encode(module))
     restored_sites = [
         inst.site_id
         for inst in restored.get("main").instructions()
         if inst.site_id is not None
     ]
     assert restored_sites == sites
-    # the global allocator was advanced past the restored maximum
+    # the chunks report the highest restored id; reserving it (as the
+    # prefix loader does) advances the global allocator past it
+    assert max_site == max(
+        inst.site_id
+        for func in module
+        for inst in func.instructions()
+        if inst.site_id is not None
+    )
+    reserve_site_ids(max_site)
     fresh = Instruction(Opcode.CALL, callee="t1")
-    assert fresh.site_id > max(sites)
+    assert fresh.site_id > max_site
 
 
 def test_version_mismatch_rejected():
-    data = module_to_dict(_rich_module())
-    data["serial_version"] = "ir-json-v0"
+    header, chunks = _encode(_rich_module())
+    for payload in (header, chunks[0]):
+        payload["serial_version"] = "ir-json-v0"
     with pytest.raises(ValueError, match=SERIAL_VERSION):
-        module_from_dict(data)
-    data.pop("serial_version")
+        functions_from_chunk(chunks[0])
+    functions, _ = functions_from_chunk(chunks[1])
+    with pytest.raises(ValueError, match=SERIAL_VERSION):
+        module_from_header(header, functions)
+    for payload in (header, chunks[0]):
+        payload.pop("serial_version")
     with pytest.raises(ValueError):
-        module_from_dict(data)
+        functions_from_chunk(chunks[0])
+    with pytest.raises(ValueError):
+        module_from_header(header, functions)
 
 
 def test_unencodable_metadata_raises_on_dumps():
     module = _rich_module()
     module.metadata["bad"] = object()
     with pytest.raises(TypeError):
-        json.dumps(module_to_dict(module))
+        json.dumps(module_header_to_dict(module))

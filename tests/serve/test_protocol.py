@@ -63,14 +63,14 @@ def test_config_rejects_unknown_and_mistyped_fields():
 
 
 def test_benches_resolution():
-    default = protocol.benches_from_names(None)
+    default = protocol.benches_from_params({})
     assert [b.name for b in default]  # full suite, non-empty
-    null_read = protocol.benches_from_names(["null", "read"])
+    null_read = protocol.benches_from_params({"benches": ["null", "read"]})
     assert [b.name for b in null_read] == ["null", "read"]
     with pytest.raises(ProtocolError, match="unknown benchmark"):
-        protocol.benches_from_names(["nope"])
+        protocol.benches_from_params({"benches": ["nope"]})
     with pytest.raises(ProtocolError, match="non-empty"):
-        protocol.benches_from_names([])
+        protocol.benches_from_params({"benches": []})
 
 
 def test_workload_validation():
@@ -83,7 +83,7 @@ def test_workload_validation():
 def test_measure_key_is_semantic():
     """A served measurement is keyed by the harness's cell_key over the
     decoded config value, in single-flight and in the memo alike."""
-    names = bench_names(protocol.benches_from_names(["null"]))
+    names = bench_names(protocol.benches_from_params({"benches": ["null"]}))
     config = PibeConfig.lax(DefenseConfig.all_defenses())
     key = cell_key(config, "lmbench", names)
     # same semantic cell from different JSON spellings -> same key

@@ -163,6 +163,15 @@ def test_evaluate_single_experiment(capsys):
     assert "Figure 1" in out
 
 
+def test_evaluate_fans_cells_out_with_same_table(capsys):
+    tables = {}
+    for jobs in ("2", "1"):
+        assert main(["evaluate", "--fast", "-j", jobs, "-e", "table5"]) == 0
+        tables[jobs] = capsys.readouterr().out
+    assert "Table 5" in tables["1"]
+    assert tables["2"] == tables["1"]
+
+
 def test_evaluate_unknown_experiment(capsys):
     assert main(["evaluate", "--fast", "-e", "table99"]) == 2
 
@@ -487,12 +496,9 @@ def test_connected_sweep_matches_local_fast_sweep(fast_server):
     column. Both sides run in fresh processes, as a user would."""
     import subprocess
 
-    from repro.evaluation.sweepengine import (
-        grid_from_spec,
-        resolve_benches,
-        run_sweep,
-    )
+    from repro.evaluation.sweepengine import grid_from_spec, run_sweep
     from repro.serve.client import ServeClient
+    from repro.workloads.lmbench import resolve_benches
 
     subprocess.run(
         [sys.executable, "-m", "repro", "sweep", "--fast", "--grid",
