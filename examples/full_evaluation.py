@@ -11,8 +11,9 @@ Run:  python examples/full_evaluation.py [--fast] [--jobs N]
 ``--jobs N`` lets each table fan its own measurement cells out over N
 worker processes. Profiles and measurements persist in
 ``.repro-cache/`` so a repeat run skips them; ``--no-cache`` disables
-that (``--engine reference`` forces the slow oracle interpreter — results
-are identical, only wall time changes).
+that. ``--engine reference`` runs every table except Table 1, whose
+microbenchmarks run on the default engine, on the slow oracle
+interpreter — results are identical, only wall time changes.
 """
 
 import argparse

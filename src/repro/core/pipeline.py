@@ -568,32 +568,37 @@ class PibePipeline:
         reports.update(harden_reports)
         return BuildResult(config=config, module=module, reports=reports)
 
+    def _prefix_keys(
+        self, config: PibeConfig, profile: Optional[EdgeProfile]
+    ) -> Tuple[Tuple[Optional[str], PrefixKey], Optional[str]]:
+        """The memo key of ``config``'s prefix — the digest of the profile
+        it is built from (``None`` for an unoptimized config, which never
+        reads one) and its :class:`PrefixKey` — and its disk key
+        (``None`` without a cache)."""
+        # Imported here: repro.evaluation imports this module.
+        from repro.evaluation.cache import cache_key
+
+        optimized = profile is not None and config.optimized
+        digest = profile.digest() if optimized else None
+        memo_key = (digest, PrefixKey.from_config(config))
+        if self.cache is None:
+            return memo_key, None
+        return memo_key, cache_key(
+            "prefix", PREFIX_CACHE_VERSION, self._baseline_fingerprint(), *memo_key
+        )
+
     def _optimized_prefix(
         self, config: PibeConfig, profile: Optional[EdgeProfile]
     ) -> PrefixEntry:
         """The shared pre-hardening module for ``config``'s optimization
         facets: from the in-memory memo, else the disk cache, else built."""
-        key = PrefixKey.from_config(config)
-        if not config.optimized:
-            profile = None  # unoptimized prefixes never read the profile
-        digest = profile.digest() if profile is not None else None
-        memo_key: Tuple[Optional[str], PrefixKey] = (digest, key)
+        memo_key, disk_key = self._prefix_keys(config, profile)
         entry = self._prefix_memo.get(memo_key)
         if entry is not None:
             self.stats["prefix_memory_hits"] += 1
             return entry
 
-        disk_key: Optional[str] = None
-        if self.cache is not None:
-            from repro.evaluation.cache import cache_key
-
-            disk_key = cache_key(
-                "prefix",
-                PREFIX_CACHE_VERSION,
-                self._baseline_fingerprint(),
-                digest,
-                key,
-            )
+        if disk_key is not None:
             payload = self.cache.get("prefix", disk_key)
             if payload is not None:
                 entry = self._prefix_from_payload(payload, disk_key)
@@ -602,10 +607,13 @@ class PibePipeline:
                     self._prefix_memo[memo_key] = entry
                     return entry
 
-        entry = self._build_prefix(profile, key)
+        # Unoptimized prefixes never read the profile.
+        entry = self._build_prefix(
+            profile if config.optimized else None, memo_key[1]
+        )
         self.stats["prefix_builds"] += 1
         self._prefix_memo[memo_key] = entry
-        if self.cache is not None and disk_key is not None:
+        if disk_key is not None:
             self._persist_prefix(disk_key, entry)
         return entry
 
@@ -623,26 +631,11 @@ class PibePipeline:
     ) -> str:
         """Where ``config``'s prefix currently resides: ``"memory"``,
         ``"disk"`` or ``"cold"`` (prewarm planning; no side effects)."""
-        key = PrefixKey.from_config(config)
-        digest = (
-            profile.digest()
-            if profile is not None and config.optimized
-            else None
-        )
-        if (digest, key) in self._prefix_memo:
+        memo_key, disk_key = self._prefix_keys(config, profile)
+        if memo_key in self._prefix_memo:
             return "memory"
-        if self.cache is not None:
-            from repro.evaluation.cache import cache_key
-
-            disk_key = cache_key(
-                "prefix",
-                PREFIX_CACHE_VERSION,
-                self._baseline_fingerprint(),
-                digest,
-                key,
-            )
-            if self.cache.has("prefix", disk_key):
-                return "disk"
+        if disk_key is not None and self.cache.has("prefix", disk_key):
+            return "disk"
         return "cold"
 
     # -- delta engine ------------------------------------------------------------

@@ -3,7 +3,8 @@ caching, so the per-table generators (and the pytest benchmarks wrapping
 them) share one kernel, one profiling run and one measurement per
 configuration.
 
-Two optional accelerators sit on top of the in-memory caches:
+Every cell (profile, variant, lint, measurement) is read through one
+memo and one path, ``EvalContext._cell``; two accelerators sit on it:
 
 - **Disk cache** (``EvalSettings.cache_dir``): profiles and measurements
   persist under ``.repro-cache/`` keyed by kernel fingerprint, config,
@@ -27,6 +28,7 @@ deliberately induced crashes, hangs and corruption.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -37,13 +39,14 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
 
+from repro.analysis.stack import StackUsageTracker
 from repro.baselines.jumpswitches import JumpSwitchParams, JumpSwitchTimingModel
 from repro.core.config import PibeConfig
-from repro.core.pipeline import BuildResult, PibePipeline
+from repro.core.pipeline import BuildResult, PibePipeline, PrefixKey
 from repro.engine.compiled import (
     DEFAULT_ENGINE,
     ENGINE_VERSION,
@@ -65,6 +68,26 @@ from repro.profiling.profile_data import EdgeProfile
 from repro.workloads import TRAINING_WORKLOADS
 from repro.workloads.base import Benchmark, measure_benchmark
 from repro.workloads.lmbench import LMBENCH_BENCHMARKS
+from repro.workloads.macro import (
+    MacroBenchmark,
+    ThroughputResult,
+    measure_throughput,
+)
+
+#: Table 12's stack-depth run: each syscall, this many times.
+_STACK_SYSCALLS = ("read", "open", "fork_exit", "select_tcp")
+_STACK_RUNS = 20
+
+#: How each persisted cell kind is stored: (disk-cache kind, encode,
+#: decode). The measured kinds share the ``"measure"`` disk kind; their
+#: keys tell them apart (``EvalContext._measure_disk_key``).
+_DISK_CODECS: Dict[str, Tuple[str, Callable, Callable]] = {
+    "profile": ("profile", EdgeProfile.to_dict, EdgeProfile.from_dict),
+    "measure": ("measure", dict, dict),
+    "jumpswitches": ("measure", dict, dict),
+    "throughput": ("measure", dataclasses.asdict, lambda d: ThroughputResult(**d)),
+    "peak_stack": ("measure", lambda v: {"peak_bytes": v}, lambda d: d["peak_bytes"]),
+}
 
 
 @dataclass(frozen=True)
@@ -144,14 +167,10 @@ class EvalContext:
         # runs stamp defenses onto disk-loaded prefixes instead of
         # re-running ICP + inlining per variant.
         self.pipeline = PibePipeline(self.kernel, cache=self.cache)
-        self._profiles: Dict[str, EdgeProfile] = {}
-        # Every memo is keyed by cell_key(): the config value itself, so
-        # two configs that differ in any field never share an entry.
-        self._variants: Dict[Tuple, BuildResult] = {}
-        self._measurements: Dict[Tuple, Dict[str, float]] = {}
-        self._lints: Dict[Tuple, object] = {}
-        self._jumpswitches: Dict[Tuple, Dict[str, float]] = {}
-        self._fingerprints: Dict[bool, str] = {}
+        # The one memo of every cell, keyed by (kind,) + the cell's key:
+        # cell_key() for a config's cells, so two configs that differ in
+        # any field never share an entry.
+        self._memo: Dict[Tuple, Any] = {}
         # Persistent worker pool: created on the first parallel
         # measure_many and reused by every later call (the serve layer
         # runs many batches against one context), torn down by close().
@@ -170,8 +189,8 @@ class EvalContext:
         """Shut down the persistent worker pool and retire the context.
 
         Idempotent. After ``close()`` the caches remain readable (so a
-        final ``stats`` snapshot still works) but any attempt to profile
-        or measure raises :class:`RuntimeError`. Shutdown waits for the
+        final ``stats`` snapshot still works) but any cell that would be
+        computed raises :class:`RuntimeError`. Shutdown waits for the
         workers, so when this returns no child process of the pool is
         left running — the regression tests assert exactly that.
         """
@@ -198,27 +217,75 @@ class EvalContext:
             raise RuntimeError("EvalContext is closed")
 
     def _kernel_fingerprint(self, include_sites: bool) -> str:
-        fp = self._fingerprints.get(include_sites)
-        if fp is None:
-            fp = module_fingerprint(self.kernel, include_sites=include_sites)
-            self._fingerprints[include_sites] = fp
-        return fp
+        key = ("fingerprint", include_sites)
+        if key not in self._memo:  # not a _cell: lookups need it when closed
+            self._memo[key] = module_fingerprint(self.kernel, include_sites)
+        return self._memo[key]
+
+    def _cell(
+        self,
+        key: Tuple,
+        compute: Optional[Callable[[], Any]] = None,
+        disk_key: Optional[Callable[[], str]] = None,
+        fault: Optional[str] = None,
+    ) -> Any:
+        """The one path of every cell: memo, disk ``get``, compute, disk
+        ``put``, memo. ``key`` is ``(kind,) + ...``.
+
+        ``disk_key`` derives the disk key (after a memo miss, with a
+        cache); without one the cell stays in memory. With no
+        ``compute`` the call is a lookup: memo or disk, else ``None``.
+        A computing call checks that the context is open, then fires the
+        ``measure.cell`` injection point for ``fault``, then reads disk.
+        """
+        value = self._memo.get(key)
+        if value is not None:
+            return value
+        if compute is not None:
+            self._check_open()
+            if fault is not None:
+                faults.fire("measure.cell", fault)
+        digest = None
+        if disk_key is not None and self.cache is not None:
+            disk_kind, encode, decode = _DISK_CODECS[key[0]]
+            digest = disk_key()
+            entry = self.cache.get(disk_kind, digest)
+            if entry is not None:
+                value = self._memo[key] = decode(entry)
+                return value
+        if compute is None:
+            return None
+        value = compute()
+        if digest is not None:
+            self.cache.put(disk_kind, digest, encode(value))
+        self._memo[key] = value
+        return value
 
     # -- profiles -----------------------------------------------------------
 
     def profile(self, workload_name: str = "lmbench") -> EdgeProfile:
-        cached = self._profiles.get(workload_name)
-        if cached is not None:
-            return cached
-        self._check_open()
         s = self.settings
-        disk_key = None
-        if self.cache is not None:
-            # Profiles store raw site ids, so the key must be sensitive to
-            # the exact id assignment (include_sites=True): a cached
-            # profile replayed against a kernel with shifted ids would
-            # silently mis-attribute every edge.
-            disk_key = cache_key(
+
+        def compute() -> EdgeProfile:
+            factory = TRAINING_WORKLOADS.get(workload_name)
+            if factory is None:
+                raise ValueError(f"unknown workload {workload_name!r}")
+            return self.pipeline.profile(
+                factory(),
+                iterations=s.profile_iterations,
+                ops_scale=s.profile_ops_scale,
+                seed=s.seed,
+                engine=s.engine,
+            )
+
+        # Profiles store raw site ids, so the disk key must be sensitive
+        # to the exact id assignment (include_sites=True): a cached
+        # profile replayed against a kernel with shifted ids would
+        # silently mis-attribute every edge.
+        return self._cell(
+            ("profile", workload_name),
+            compute,
+            lambda: cache_key(
                 "profile",
                 ENGINE_VERSION,
                 s.engine,
@@ -227,40 +294,22 @@ class EvalContext:
                 s.profile_iterations,
                 s.profile_ops_scale,
                 s.seed,
-            )
-            entry = self.cache.get("profile", disk_key)
-            if entry is not None:
-                profile = EdgeProfile.from_dict(entry)
-                self._profiles[workload_name] = profile
-                return profile
-        factory = TRAINING_WORKLOADS.get(workload_name)
-        if factory is None:
-            raise ValueError(f"unknown workload {workload_name!r}")
-        profile = self.pipeline.profile(
-            factory(),
-            iterations=s.profile_iterations,
-            ops_scale=s.profile_ops_scale,
-            seed=s.seed,
-            engine=s.engine,
+            ),
         )
-        if self.cache is not None and disk_key is not None:
-            self.cache.put("profile", disk_key, profile.to_dict())
-        self._profiles[workload_name] = profile
-        return profile
 
     # -- variants -------------------------------------------------------------
 
     def variant(
         self, config: PibeConfig, workload_name: str = "lmbench"
     ) -> BuildResult:
-        key = cell_key(config, workload_name)
-        cached = self._variants.get(key)
-        if cached is not None:
-            return cached
-        profile = self.profile(workload_name) if config.optimized else None
-        build = self.pipeline.build_variant(config, profile)
-        self._variants[key] = build
-        return build
+        # Not persisted here: the pipeline's prefix cache is its disk.
+        return self._cell(
+            ("variant",) + cell_key(config, workload_name),
+            lambda: self.pipeline.build_variant(
+                config,
+                self.profile(workload_name) if config.optimized else None,
+            ),
+        )
 
     def security(
         self, config: PibeConfig, workload_name: str = "lmbench"
@@ -302,8 +351,6 @@ class EvalContext:
         jobs = self.settings.jobs
         if self.cache is None or jobs <= 1:
             return 0
-        from repro.core.pipeline import PrefixKey
-
         # Materialize the profile before workers fork so they inherit it.
         profile = self.profile(workload_name)
         seen = set()
@@ -343,7 +390,7 @@ class EvalContext:
         per_group = max(1, jobs // len(cold))
         for axis in sorted(cold):
             group = sorted(cold[axis], key=ladder_key, reverse=True)
-            bins: List[List[Tuple[Any, PibeConfig]]] = [
+            bins: List[List[Tuple[PrefixKey, PibeConfig]]] = [
                 [] for _ in range(min(per_group, len(group)))
             ]
             loads = [0.0] * len(bins)
@@ -381,56 +428,37 @@ class EvalContext:
         in defense stamps, and the function-chunk keys are
         content-addressed.
         """
-        self._check_open()
-        key = cell_key(config, workload_name, tuple(rules) if rules else None)
-        cached = self._lints.get(key)
-        if cached is not None:
-            return cached
-        from repro.static.incremental import lint_module
-
-        build = self.variant(config, workload_name)
-        profile = self.profile(workload_name) if config.optimized else None
         jobs = self.settings.jobs
-        map_shards = (
-            self._lint_shards_mapper(config, workload_name)
-            if jobs > 1
-            else None
-        )
-        report = lint_module(
-            build.module,
-            rules=list(rules) if rules else None,
-            profile=profile,
-            cache=self.cache,
-            jobs=max(jobs, 1),
-            map_shards=map_shards,
-        )
-        self._lints[key] = report
-        return report
 
-    def _lint_shards_mapper(self, config: PibeConfig, workload_name: str):
-        """Shard executor over the persistent pool.
-
-        Workers resolve the variant through their own (fork-inherited or
-        rebuilt) context — deterministic build ids make the module, and
-        therefore every site id in the diagnostics, bit-identical to the
-        parent's.  A shard whose future is lost comes back ``None`` and
-        the incremental engine recomputes it inline; a broken pool is
-        replaced so later batches start healthy.
-        """
-
-        def mapper(shards):
-            if config.optimized:
-                # Materialize profile + variant before workers fork so
-                # they inherit the memoized module instead of rebuilding.
-                self.profile(workload_name)
-            self.variant(config, workload_name)
+        def map_shards(shards):
+            # Shards run over the persistent pool. Workers resolve the
+            # variant through their own context: forked ones inherit the
+            # one compute() built, spawned ones rebuild it bit-identically
+            # (deterministic build ids), so diagnostics match the
+            # parent's. A lost shard comes back None and is recomputed
+            # inline.
             return self._pool_map(
                 _lint_shard_cell,
                 [(config, workload_name, shard) for shard in shards],
-                min(len(shards), self.settings.jobs),
+                min(len(shards), jobs),
             )
 
-        return mapper
+        def compute():
+            from repro.static.incremental import lint_module
+
+            return lint_module(
+                self.variant(config, workload_name).module,
+                rules=list(rules) if rules else None,
+                profile=self.profile(workload_name) if config.optimized else None,
+                cache=self.cache,
+                jobs=max(jobs, 1),
+                map_shards=map_shards if jobs > 1 else None,
+            )
+
+        selection = tuple(rules) if rules else None
+        return self._cell(
+            ("lint",) + cell_key(config, workload_name, selection), compute
+        )
 
     def _pool_map(self, fn, items: Sequence, workers: int) -> List:
         """``fn`` over ``items`` on the persistent pool, one future per
@@ -463,35 +491,52 @@ class EvalContext:
 
     # -- measurements -------------------------------------------------------------
 
-    def _measure_disk_key(
-        self,
-        config: PibeConfig,
-        benches: Tuple[Benchmark, ...],
-        workload_name: str,
-    ) -> Optional[str]:
-        if self.cache is None:
-            return None
+    def _profile_part(self, config: PibeConfig, workload_name: str):
+        """A measured cell's training-profile key part: its knobs matter
+        only when the config consumes a profile."""
         s = self.settings
-        # Measurements depend on module *structure*, not on the site-id
-        # values themselves (ids are consistent within one build), so the
-        # shape-only fingerprint lets runs in fresh processes share
-        # entries. The training profile's knobs matter only when the
-        # config actually consumes a profile.
-        profile_part = (
-            (workload_name, s.profile_iterations, s.profile_ops_scale)
-            if config.optimized
-            else None
-        )
+        if config.optimized:
+            return (workload_name, s.profile_iterations, s.profile_ops_scale)
+        return None
+
+    def _measure_disk_key(self, *inputs) -> str:
+        """The disk key of a measured cell: the engine, the shape-only
+        kernel fingerprint, the cell's ``inputs`` (led by the config of a
+        per-bench measurement, by the kind tag of any other) and the seed.
+
+        Measurements depend on module *structure*, not on the site-id
+        values themselves (ids are consistent within one build), so the
+        shape-only fingerprint lets runs in fresh processes share
+        entries.
+        """
+        s = self.settings
+        fingerprint = self._kernel_fingerprint(include_sites=False)
         return cache_key(
-            "measure",
-            ENGINE_VERSION,
-            s.engine,
-            self._kernel_fingerprint(include_sites=False),
-            config,
-            profile_part,
-            benches,
-            s.measure_ops_scale,
-            s.seed,
+            "measure", ENGINE_VERSION, s.engine, fingerprint, *inputs, s.seed
+        )
+
+    def _measurement(self, config, benches, workload_name, compute: bool):
+        """:meth:`measure`'s cell; a lookup unless ``compute``."""
+        s = self.settings
+
+        def run() -> Dict[str, float]:
+            module = self.variant(config, workload_name).module
+            results: Dict[str, float] = {}
+            for bench in benches:
+                ops = max(1, int(bench.default_ops * s.measure_ops_scale))
+                results[bench.name] = measure_benchmark(
+                    module, bench, ops=ops, seed=s.seed, engine=s.engine
+                ).cycles_per_op
+            return results
+
+        trained = self._profile_part(config, workload_name)
+        return self._cell(
+            ("measure",) + cell_key(config, workload_name, bench_names(benches)),
+            run if compute else None,
+            lambda: self._measure_disk_key(
+                config, trained, benches, s.measure_ops_scale
+            ),
+            fault=cell_label(config, workload_name),
         )
 
     def cached_measurement(
@@ -508,19 +553,9 @@ class EvalContext:
         serve layer uses: requests answerable here are served inline on
         the event loop, everything else is dispatched to the worker pool.
         """
-        benches = tuple(benches)
-        key = cell_key(config, workload_name, bench_names(benches))
-        cached = self._measurements.get(key)
-        if cached is not None:
-            return cached
-        disk_key = self._measure_disk_key(config, benches, workload_name)
-        if disk_key is not None:
-            entry = self.cache.get("measure", disk_key)
-            if entry is not None:
-                results = {name: float(v) for name, v in entry.items()}
-                self._measurements[key] = results
-                return results
-        return None
+        return self._measurement(
+            config, tuple(benches), workload_name, compute=False
+        )
 
     def measure(
         self,
@@ -529,36 +564,9 @@ class EvalContext:
         workload_name: str = "lmbench",
     ) -> Dict[str, float]:
         """Per-benchmark cycles/op for a configuration (cached)."""
-        benches = tuple(benches)
-        key = cell_key(config, workload_name, bench_names(benches))
-        cached = self._measurements.get(key)
-        if cached is not None:
-            return cached
-        self._check_open()
-        faults.fire("measure.cell", cell_label(config, workload_name))
-        disk_key = self._measure_disk_key(config, benches, workload_name)
-        if disk_key is not None:
-            entry = self.cache.get("measure", disk_key)
-            if entry is not None:
-                results = {name: float(v) for name, v in entry.items()}
-                self._measurements[key] = results
-                return results
-        build = self.variant(config, workload_name)
-        results: Dict[str, float] = {}
-        for bench in benches:
-            ops = max(1, int(bench.default_ops * self.settings.measure_ops_scale))
-            result = measure_benchmark(
-                build.module,
-                bench,
-                ops=ops,
-                seed=self.settings.seed,
-                engine=self.settings.engine,
-            )
-            results[bench.name] = result.cycles_per_op
-        if disk_key is not None:
-            self.cache.put("measure", disk_key, results)
-        self._measurements[key] = results
-        return results
+        return self._measurement(
+            config, tuple(benches), workload_name, compute=True
+        )
 
     def measure_many(
         self,
@@ -593,8 +601,8 @@ class EvalContext:
         configs = list(configs)
         benches = tuple(benches)
         names = bench_names(benches)
-        keys = [cell_key(c, workload_name, names) for c in configs]
-        pending = [i for i, key in enumerate(keys) if key not in self._measurements]
+        keys = [("measure",) + cell_key(c, workload_name, names) for c in configs]
+        pending = [i for i, key in enumerate(keys) if key not in self._memo]
         if pending:
             self._check_open()
         report = FailureReport(total_cells=len(configs))
@@ -613,7 +621,7 @@ class EvalContext:
                     report,
                 )
 
-        results = MeasureManyResult(self._measurements.get(key) for key in keys)
+        results = MeasureManyResult(self._memo.get(key) for key in keys)
         results.failure_report = report
         return results
 
@@ -811,7 +819,7 @@ class EvalContext:
                     except Exception:  # noqa: BLE001
                         retry.append((i, KIND_EXCEPTION))
                     else:
-                        self._measurements[keys[i]] = values
+                        self._memo[keys[i]] = values
                 if broken:
                     # One dead worker poisons the whole executor: every
                     # in-flight future is lost. Rebuild once and resubmit
@@ -852,45 +860,78 @@ class EvalContext:
     ) -> Dict[str, float]:
         """JumpSwitches baseline: retpolines image, runtime promotion."""
         benches = tuple(benches)
-        key = (params, bench_names(benches))
-        cached = self._jumpswitches.get(key)
-        if cached is not None:
-            return cached
         s = self.settings
-        disk_key = None
-        if self.cache is not None:
-            disk_key = cache_key(
-                "measure",
-                ENGINE_VERSION,
-                s.engine,
-                self._kernel_fingerprint(include_sites=False),
-                "jumpswitches",
-                params,
-                benches,
-                s.measure_ops_scale,
-                s.seed,
-            )
-            entry = self.cache.get("measure", disk_key)
-            if entry is not None:
-                results = {name: float(v) for name, v in entry.items()}
-                self._jumpswitches[key] = results
-                return results
-        build = self.variant(
-            PibeConfig.hardened(DefenseConfig.retpolines_only())
+
+        def compute() -> Dict[str, float]:
+            config = PibeConfig.hardened(DefenseConfig.retpolines_only())
+            module = self.variant(config).module
+            results: Dict[str, float] = {}
+            for bench in benches:
+                ops = max(1, int(bench.default_ops * s.measure_ops_scale))
+                timing = JumpSwitchTimingModel(module, params=params)
+                interpreter = create_interpreter(
+                    module, [timing], seed=s.seed, engine=s.engine
+                )
+                bench.run(interpreter, ops=ops)
+                results[bench.name] = timing.cycles / ops
+            return results
+
+        return self._cell(
+            ("jumpswitches", params, bench_names(benches)),
+            compute,
+            lambda: self._measure_disk_key(
+                "jumpswitches", params, benches, s.measure_ops_scale
+            ),
         )
-        results: Dict[str, float] = {}
-        for bench in benches:
-            ops = max(1, int(bench.default_ops * s.measure_ops_scale))
-            timing = JumpSwitchTimingModel(build.module, params=params)
+
+    def throughput(
+        self,
+        config: PibeConfig,
+        app: MacroBenchmark,
+        batches: int,
+        workload_name: str = "lmbench",
+    ) -> ThroughputResult:
+        """Throughput of macrobenchmark ``app`` on a variant over
+        ``batches`` batches (a Table 7 cell)."""
+        s = self.settings
+        trained = self._profile_part(config, workload_name)
+        return self._cell(
+            ("throughput",) + cell_key(config, workload_name, app, batches),
+            lambda: measure_throughput(
+                self.variant(config, workload_name).module,
+                app,
+                batches=batches,
+                seed=s.seed,
+                engine=s.engine,
+            ),
+            lambda: self._measure_disk_key("throughput", config, trained, app, batches),
+        )
+
+    def peak_stack(
+        self, config: PibeConfig, workload_name: str = "lmbench"
+    ) -> float:
+        """Peak stack bytes of a variant over a fixed syscall mix (a
+        Table 12 cell)."""
+        s = self.settings
+
+        def compute() -> float:
+            tracker = StackUsageTracker()
+            module = self.variant(config, workload_name).module
             interpreter = create_interpreter(
-                build.module, [timing], seed=s.seed, engine=s.engine
+                module, [tracker], seed=s.seed, engine=s.engine
             )
-            bench.run(interpreter, ops=ops)
-            results[bench.name] = timing.cycles / ops
-        if self.cache is not None and disk_key is not None:
-            self.cache.put("measure", disk_key, results)
-        self._jumpswitches[key] = results
-        return results
+            for syscall in _STACK_SYSCALLS:
+                interpreter.run_syscall(syscall, times=_STACK_RUNS)
+            return float(tracker.peak_bytes)
+
+        trained = self._profile_part(config, workload_name)
+        return self._cell(
+            ("peak_stack",) + cell_key(config, workload_name),
+            compute,
+            lambda: self._measure_disk_key(
+                "peak_stack", config, trained, _STACK_SYSCALLS, _STACK_RUNS
+            ),
+        )
 
     # -- common baselines ---------------------------------------------------------
 

@@ -12,10 +12,15 @@ A table that measures hands its (config, workload) cells to
 reads them, in the order it reads them: at ``settings.jobs > 1`` the
 cells fan out over the context's worker pool, and at ``jobs == 1`` they
 are measured inline in that same order. The cell list lives only here.
+Tables 7 and 12 read the context's throughput and peak-stack cells,
+memoized and disk-cached like measurements but measured inline, so no
+table except Table 1, which measures its own microbenchmark modules,
+drives an engine itself.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -42,7 +47,7 @@ from repro.passes.icp import ICPReport
 from repro.passes.inliner import InlineReport, PibeInliner
 from repro.profiling.profile_data import EdgeProfile
 from repro.workloads.lmbench import LMBENCH_BENCHMARKS, TABLE3_BENCHMARKS
-from repro.workloads.macro import ALL_MACROBENCHMARKS, measure_throughput
+from repro.workloads.macro import ALL_MACROBENCHMARKS
 from repro.workloads.microbench import measure_all_ticks
 from repro.workloads.spec import geomean_slowdown, measure_all_spec_slowdowns
 
@@ -174,8 +179,8 @@ def table3(ctx: EvalContext) -> Table3Result:
     unoptimized = PibeConfig.hardened(retpolines)
     icp_99 = PibeConfig.hardened(retpolines, icp_budget=0.99)
     icp_99999 = PibeConfig.hardened(retpolines, icp_budget=0.99999)
-    # JumpSwitches is not a measure cell: it runs after the batch on the
-    # unoptimized retpolines build, which at jobs=1 the batch has built.
+    # JumpSwitches is a cell of its own kind, outside the batch: it runs
+    # on the unoptimized retpolines build, which at jobs=1 the batch built.
     ctx.measure_many(
         [PibeConfig.lto_baseline(), unoptimized, icp_99, icp_99999], benches
     )
@@ -395,7 +400,6 @@ def table7(ctx: EvalContext, batches: int = 30) -> Table7Result:
         ("w/LVI-CFI", DefenseConfig.lvi_only()),
         ("w/all-defenses", DefenseConfig.all_defenses()),
     ]
-    vanilla_build = ctx.variant(PibeConfig.lto_baseline())
     degradations: Dict[str, Dict[str, Tuple[float, float]]] = {}
     vanilla_throughput: Dict[str, float] = {}
     table = Table(
@@ -407,40 +411,17 @@ def table7(ctx: EvalContext, batches: int = 30) -> Table7Result:
         ],
     )
     for app in ALL_MACROBENCHMARKS:
-        base = measure_throughput(
-            vanilla_build.module,
-            app,
-            batches=batches,
-            seed=ctx.settings.seed,
-            engine=ctx.settings.engine,
-        )
+        base = ctx.throughput(PibeConfig.lto_baseline(), app, batches)
         vanilla_throughput[app.name] = base.throughput
         degradations[app.name] = {}
         for label, defenses in defense_rows:
-            unopt_build = ctx.variant(PibeConfig.hardened(defenses))
             if defenses.ret_retpolines or defenses.lvi_cfi:
                 pibe_config = PibeConfig.lax(defenses)
             else:
                 pibe_config = PibeConfig.hardened(defenses, icp_budget=0.99999)
-            pibe_build = ctx.variant(pibe_config)
-            unopt = measure_throughput(
-                unopt_build.module,
-                app,
-                batches=batches,
-                seed=ctx.settings.seed,
-                engine=ctx.settings.engine,
-            )
-            pibe = measure_throughput(
-                pibe_build.module,
-                app,
-                batches=batches,
-                seed=ctx.settings.seed,
-                engine=ctx.settings.engine,
-            )
-            degradation = (
-                unopt.degradation_vs(base),
-                pibe.degradation_vs(base),
-            )
+            unopt = ctx.throughput(PibeConfig.hardened(defenses), app, batches)
+            pibe = ctx.throughput(pibe_config, app, batches)
+            degradation = (unopt.degradation_vs(base), pibe.degradation_vs(base))
             degradations[app.name][label] = degradation
             table.add_row(
                 app.name,
@@ -681,32 +662,8 @@ def table12(ctx: EvalContext) -> Table12Result:
         ],
     )
     # Rows share modules (the LTO baseline, each defense set's
-    # unoptimized variant): size and measure each one once.
-    text_sizes: Dict[Module, int] = {}
-    peak_stacks: Dict[Module, float] = {}
-
-    def text_size(module: Module) -> int:
-        size = text_sizes.get(module)
-        if size is None:
-            size = text_sizes[module] = text_size_bytes(module)
-        return size
-
-    def measured_peak_stack(module: Module) -> float:
-        from repro.analysis.stack import StackUsageTracker
-        from repro.engine.compiled import create_interpreter
-
-        peak = peak_stacks.get(module)
-        if peak is not None:
-            return peak
-        tracker = StackUsageTracker()
-        interpreter = create_interpreter(
-            module, [tracker], seed=ctx.settings.seed
-        )
-        for syscall in ("read", "open", "fork_exit", "select_tcp"):
-            interpreter.run_syscall(syscall, times=20)
-        peak = peak_stacks[module] = float(tracker.peak_bytes)
-        return peak
-
+    # unoptimized variant): size each one once.
+    text_size = functools.lru_cache(maxsize=None)(text_size_bytes)
     for label, defenses, budget in rows:
         if defenses.retpolines and not defenses.ret_retpolines and not defenses.lvi_cfi:
             config = PibeConfig.hardened(defenses, icp_budget=budget)
@@ -714,17 +671,13 @@ def table12(ctx: EvalContext) -> Table12Result:
             config = PibeConfig.hardened(
                 defenses, icp_budget=budget, inline_budget=budget
             )
-        variant = ctx.variant(config).module
-        unopt = ctx.variant(PibeConfig.hardened(defenses)).module
+        unopt_config = PibeConfig.hardened(defenses)
         report = size_report(
             label,
-            variant,
+            ctx.variant(config).module,
             lto,
-            unopt,
-            measured_dyn=(
-                measured_peak_stack(variant),
-                measured_peak_stack(unopt),
-            ),
+            ctx.variant(unopt_config).module,
+            measured_dyn=(ctx.peak_stack(config), ctx.peak_stack(unopt_config)),
             text_size=text_size,
         )
         reports[label] = report

@@ -137,18 +137,21 @@ def config_from_dict(data: Any) -> PibeConfig:
     kwargs: Dict[str, Any] = {"defenses": defenses}
     for budget in ("icp_budget", "inline_budget"):
         if budget in data:
+            # The passes' rule. A bool is an int, and json parses NaN.
             value = data[budget]
-            if value is not None and not isinstance(value, (int, float)):
-                raise ProtocolError(f"{budget} must be a number or null")
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if value is not None and not (real and 0.0 < value <= 1.0):
+                raise ProtocolError(f"{budget} must be a number in (0, 1] or null")
             kwargs[budget] = None if value is None else float(value)
     for flag in ("lax_heuristics", "use_default_inliner", "run_dce"):
         if flag in data:
             kwargs[flag] = bool(data[flag])
     for threshold in ("caller_threshold", "callee_threshold"):
         if threshold in data:
-            if not isinstance(data[threshold], int):
+            value = data[threshold]
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise ProtocolError(f"{threshold} must be an integer")
-            kwargs[threshold] = data[threshold]
+            kwargs[threshold] = value
     return PibeConfig(**kwargs)
 
 

@@ -109,7 +109,7 @@ def test_warm_cache_skips_profiling_and_measurement(tmp_path):
     assert repeat == baseline
     # served entirely from disk: measurement hit, no profiling run
     assert warm.cache.stats()["hits"] == 1
-    assert "lmbench" not in warm._profiles
+    assert ("profile", "lmbench") not in warm._memo
     # a second in-process kernel build gets different site ids, so the
     # site-keyed cached profile is correctly NOT replayed against it...
     profile = warm.profile("lmbench")

@@ -6,10 +6,12 @@ import pytest
 
 from repro.baselines.jumpswitches import JumpSwitchParams
 from repro.core.config import PibeConfig
+from repro.evaluation import harness
 from repro.evaluation.harness import EvalContext, EvalSettings
 from repro.hardening.defenses import DefenseConfig, NonTransientDefense
 from repro.kernel.spec import SmallSpec
 from repro.workloads.lmbench import BY_NAME
+from repro.workloads.macro import NGINX
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +105,61 @@ def test_jumpswitches_measurement(ctx):
     assert tuned["read"] > js["read"]
 
 
+def test_throughput_and_peak_stack_are_memoized_cells(ctx, monkeypatch):
+    runs = {"batches": [], "stack": 0}
+    measure_throughput = harness.measure_throughput
+
+    def counting_throughput(*args, **kwargs):
+        runs["batches"].append(kwargs["batches"])
+        return measure_throughput(*args, **kwargs)
+
+    class CountingTracker(harness.StackUsageTracker):
+        def __init__(self):
+            runs["stack"] += 1
+            super().__init__()
+
+    monkeypatch.setattr(harness, "measure_throughput", counting_throughput)
+    monkeypatch.setattr(harness, "StackUsageTracker", CountingTracker)
+    config = PibeConfig.hardened(DefenseConfig.lvi_only())
+    first = ctx.throughput(config, NGINX, 2)
+    assert ctx.throughput(config, NGINX, 2) is first
+    # another batch count is another cell
+    more = ctx.throughput(config, NGINX, 3)
+    assert more is not first
+    assert ctx.throughput(config, NGINX, 3) is more
+    assert runs["batches"] == [2, 3]
+    peak = ctx.peak_stack(config)
+    assert peak > 0
+    assert ctx.peak_stack(config) == peak
+    assert runs["stack"] == 1
+    with _fresh(ctx) as fresh:
+        assert fresh.throughput(config, NGINX, 3) == more
+        assert fresh.peak_stack(config) == peak
+
+
+def test_peak_stack_runs_on_the_settings_engine(ctx, monkeypatch):
+    """The stack run follows ``settings.engine``; the reference oracle
+    reads the same peak as the default engine."""
+    from repro.engine.interpreter import Interpreter
+
+    engines = []
+    create_interpreter = harness.create_interpreter
+
+    def recording(*args, **kwargs):
+        interpreter = create_interpreter(*args, **kwargs)
+        engines.append(type(interpreter))
+        return interpreter
+
+    monkeypatch.setattr(harness, "create_interpreter", recording)
+    config = PibeConfig.hardened(DefenseConfig.retpolines_only())
+    reference = dataclasses.replace(ctx.settings, engine="reference")
+    with EvalContext(reference, kernel=ctx.kernel) as oracle:
+        peak = oracle.peak_stack(config)
+    assert engines == [Interpreter]
+    assert peak == ctx.peak_stack(config)
+    assert engines[1] is not Interpreter
+
+
 def test_fast_settings_reduce_scale():
     fast = EvalSettings.fast()
     assert fast.measure_ops_scale < EvalSettings().measure_ops_scale
@@ -177,12 +234,16 @@ def test_closed_context_rejects_new_work_but_serves_memo():
     config = PibeConfig.lto_baseline()
     with EvalContext(_lifecycle_settings(jobs=1)) as local:
         values = local.measure(config, benches)
+        throughput = local.throughput(config, NGINX, 1)
     # memoized results stay readable after close...
     assert local.measure(config, benches) is values
     assert local.cached_measurement(config, benches, "lmbench") == values
+    assert local.throughput(config, NGINX, 1) is throughput
     # ...but anything that would compute is refused
     with pytest.raises(RuntimeError, match="closed"):
         local.measure(PibeConfig.pibe_baseline(), benches)
+    with pytest.raises(RuntimeError, match="closed"):
+        local.throughput(config, NGINX, 2)
     with pytest.raises(RuntimeError, match="closed"):
         local.profile("apache")
     with pytest.raises(RuntimeError, match="closed"):
@@ -194,6 +255,6 @@ def test_cached_measurement_does_not_evaluate():
     config = PibeConfig.lto_baseline()
     with EvalContext(_lifecycle_settings(jobs=1)) as local:
         assert local.cached_measurement(config, benches, "lmbench") is None
-        assert not local._measurements  # the probe computed nothing
+        assert not local._memo  # the probe computed nothing
         values = local.measure(config, benches)
         assert local.cached_measurement(config, benches, "lmbench") == values

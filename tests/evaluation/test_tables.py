@@ -110,6 +110,46 @@ def test_table7_macro_degradations(ctx):
         assert result.vanilla_throughput[app] > 0
 
 
+def test_warm_context_renders_tables_7_and_12_from_cells(tmp_path, monkeypatch):
+    """Tables 7 and 12 read the context's throughput and peak-stack
+    cells: a fresh context on a filled cache renders both identically
+    without one throughput or stack run, and Table 7 builds nothing."""
+    import dataclasses
+
+    from repro.evaluation import harness
+
+    runs = {"throughput": 0, "stack": 0}
+    measure_throughput = harness.measure_throughput
+
+    def counting_throughput(*args, **kwargs):
+        runs["throughput"] += 1
+        return measure_throughput(*args, **kwargs)
+
+    class CountingTracker(harness.StackUsageTracker):
+        def __init__(self):
+            runs["stack"] += 1
+            super().__init__()
+
+    monkeypatch.setattr(harness, "measure_throughput", counting_throughput)
+    monkeypatch.setattr(harness, "StackUsageTracker", CountingTracker)
+    settings = dataclasses.replace(EvalSettings.fast(), cache_dir=str(tmp_path))
+    rendered = []
+    for _ in range(2):
+        with EvalContext(settings) as run_ctx:
+            t7 = tables.table7(run_ctx, batches=3).table.to_text()
+            builds = run_ctx.pipeline.stats["staged_builds"]
+            t12 = tables.table12(run_ctx).table.to_text()
+        rendered.append((t7, t12, builds, dict(runs)))
+        runs.update(throughput=0, stack=0)
+    cold, warm = rendered
+    # 3 apps x (LTO + 4 defenses x unoptimized/PIBE); 12 distinct modules
+    assert cold[3] == {"throughput": 27, "stack": 12}
+    assert cold[2] > 0
+    assert warm[:2] == cold[:2]
+    assert warm[2] == 0
+    assert warm[3] == {"throughput": 0, "stack": 0}
+
+
 def test_table8_elision_grows_with_budget(ctx):
     result = tables.table8(ctx)
     budgets = sorted(result.stats)

@@ -62,6 +62,26 @@ def test_config_rejects_unknown_and_mistyped_fields():
         protocol.config_from_dict({"defenses": {"nontransient": ["bogus"]}})
 
 
+@pytest.mark.parametrize("budget", [2.0, 0, -1, float("nan"), True])
+def test_config_rejects_budgets_the_passes_reject(budget):
+    """A budget is null or a real number in (0, 1], as the passes and
+    ``SweepGrid`` demand; json parses NaN, and a bool is an int."""
+    for field in ("icp_budget", "inline_budget"):
+        with pytest.raises(ProtocolError, match=r"must be a number in \(0, 1\]"):
+            protocol.config_from_dict({field: budget})
+    line = json.dumps({"op": "measure", "params": {"config": {"icp_budget": budget}}})
+    config = protocol.decode_request(line.encode()).params["config"]
+    with pytest.raises(ProtocolError):
+        protocol.config_from_dict(config)
+
+
+def test_config_rejects_boolean_thresholds():
+    for field in ("caller_threshold", "callee_threshold"):
+        with pytest.raises(ProtocolError, match="must be an integer"):
+            protocol.config_from_dict({field: True})
+    assert protocol.config_from_dict({"icp_budget": 1}).icp_budget == 1.0
+
+
 def test_benches_resolution():
     default = protocol.benches_from_params({})
     assert [b.name for b in default]  # full suite, non-empty

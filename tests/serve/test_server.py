@@ -245,6 +245,19 @@ def test_error_mapping(served):
         assert client.ping()["pong"] is True
 
 
+def test_out_of_range_budget_is_a_bad_request(served):
+    """The wire rejects a budget the passes would reject, before any
+    evaluation: no retries, no cell reaches the harness."""
+    server, sock = served
+    before = dict(server.counters)
+    with ServeClient(unix=sock) as client:
+        for config in ({"icp_budget": 2}, {"caller_threshold": True}):
+            with pytest.raises(ServeError) as exc:
+                client.request("measure", {"config": config, "benches": BENCH_NAMES})
+            assert exc.value.kind == protocol.ERROR_BAD_REQUEST
+    assert server.counters["cells_evaluated"] == before["cells_evaluated"]
+
+
 def test_malformed_line_gets_error_envelope(served):
     _, sock = served
     raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
