@@ -592,6 +592,8 @@ class PibePipeline:
     ) -> PrefixEntry:
         """The shared pre-hardening module for ``config``'s optimization
         facets: from the in-memory memo, else the disk cache, else built."""
+        if not config.optimized:
+            profile = None  # unoptimized prefixes never read the profile
         memo_key, disk_key = self._prefix_keys(config, profile)
         entry = self._prefix_memo.get(memo_key)
         if entry is not None:
@@ -607,10 +609,7 @@ class PibePipeline:
                     self._prefix_memo[memo_key] = entry
                     return entry
 
-        # Unoptimized prefixes never read the profile.
-        entry = self._build_prefix(
-            profile if config.optimized else None, memo_key[1]
-        )
+        entry = self._build_prefix(profile, memo_key[1])
         self.stats["prefix_builds"] += 1
         self._prefix_memo[memo_key] = entry
         if disk_key is not None:

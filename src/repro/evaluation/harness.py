@@ -227,7 +227,7 @@ class EvalContext:
         key: Tuple,
         compute: Optional[Callable[[], Any]] = None,
         disk_key: Optional[Callable[[], str]] = None,
-        fault: Optional[str] = None,
+        fault: Optional[Callable[[], str]] = None,
     ) -> Any:
         """The one path of every cell: memo, disk ``get``, compute, disk
         ``put``, memo. ``key`` is ``(kind,) + ...``.
@@ -236,7 +236,8 @@ class EvalContext:
         cache); without one the cell stays in memory. With no
         ``compute`` the call is a lookup: memo or disk, else ``None``.
         A computing call checks that the context is open, then fires the
-        ``measure.cell`` injection point for ``fault``, then reads disk.
+        ``measure.cell`` injection point for the label ``fault`` makes,
+        then reads disk.
         """
         value = self._memo.get(key)
         if value is not None:
@@ -244,7 +245,7 @@ class EvalContext:
         if compute is not None:
             self._check_open()
             if fault is not None:
-                faults.fire("measure.cell", fault)
+                faults.fire("measure.cell", fault())
         digest = None
         if disk_key is not None and self.cache is not None:
             disk_kind, encode, decode = _DISK_CODECS[key[0]]
@@ -529,14 +530,16 @@ class EvalContext:
                 ).cycles_per_op
             return results
 
-        trained = self._profile_part(config, workload_name)
         return self._cell(
             ("measure",) + cell_key(config, workload_name, bench_names(benches)),
             run if compute else None,
             lambda: self._measure_disk_key(
-                config, trained, benches, s.measure_ops_scale
+                config,
+                self._profile_part(config, workload_name),
+                benches,
+                s.measure_ops_scale,
             ),
-            fault=cell_label(config, workload_name),
+            fault=lambda: cell_label(config, workload_name),
         )
 
     def cached_measurement(
