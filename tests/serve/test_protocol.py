@@ -45,6 +45,7 @@ def test_config_defaults_and_partial_dicts():
     # omitted fields take dataclass defaults, not wire-level surprises
     partial = protocol.config_from_dict({"icp_budget": 0.9})
     assert partial == PibeConfig(icp_budget=0.9)
+    assert protocol.config_from_dict({"icp_budget": 1}).icp_budget == 1.0
 
 
 def test_config_rejects_unknown_and_mistyped_fields():
@@ -56,6 +57,8 @@ def test_config_rejects_unknown_and_mistyped_fields():
         protocol.config_from_dict({"icp_budget": "0.9"})
     with pytest.raises(ProtocolError, match="must be an integer"):
         protocol.config_from_dict({"caller_threshold": 1.5})
+    with pytest.raises(ProtocolError, match="must be an integer"):
+        protocol.config_from_dict({"callee_threshold": True})  # bool is an int
     with pytest.raises(ProtocolError, match="must be an object"):
         protocol.config_from_dict([1, 2])
     with pytest.raises(ProtocolError):
@@ -73,13 +76,6 @@ def test_config_rejects_budgets_the_passes_reject(budget):
     config = protocol.decode_request(line.encode()).params["config"]
     with pytest.raises(ProtocolError):
         protocol.config_from_dict(config)
-
-
-def test_config_rejects_boolean_thresholds():
-    for field in ("caller_threshold", "callee_threshold"):
-        with pytest.raises(ProtocolError, match="must be an integer"):
-            protocol.config_from_dict({field: True})
-    assert protocol.config_from_dict({"icp_budget": 1}).icp_budget == 1.0
 
 
 def test_benches_resolution():
