@@ -86,7 +86,9 @@ _DISK_CODECS: Dict[str, Tuple[str, Callable, Callable]] = {
     "measure": ("measure", dict, dict),
     "jumpswitches": ("measure", dict, dict),
     "throughput": ("measure", dataclasses.asdict, lambda d: ThroughputResult(**d)),
-    "peak_stack": ("measure", lambda v: {"peak_bytes": v}, lambda d: d["peak_bytes"]),
+    "peak_stack": (
+        "measure", lambda v: {"peak_bytes": v}, lambda d: float(d["peak_bytes"])
+    ),
 }
 
 
@@ -233,7 +235,8 @@ class EvalContext:
         ``put``, memo. ``key`` is ``(kind,) + ...``.
 
         ``disk_key`` derives the disk key (after a memo miss, with a
-        cache); without one the cell stays in memory. With no
+        cache); without one the cell stays in memory. An entry that does
+        not decode is quarantined and the cell computed. With no
         ``compute`` the call is a lookup: memo or disk, else ``None``.
         A computing call checks that the context is open, then fires the
         ``measure.cell`` injection point for the label ``fault`` makes,
@@ -252,8 +255,15 @@ class EvalContext:
             digest = disk_key()
             entry = self.cache.get(disk_kind, digest)
             if entry is not None:
-                value = self._memo[key] = decode(entry)
-                return value
+                try:
+                    value = decode(entry)
+                except (AttributeError, KeyError, TypeError, ValueError):
+                    # Valid JSON of the wrong shape (a manual edit, an
+                    # older payload): moved aside like a torn file.
+                    self.cache.quarantine_entry(disk_kind, digest)
+                else:
+                    self._memo[key] = value
+                    return value
         if compute is None:
             return None
         value = compute()
@@ -888,20 +898,16 @@ class EvalContext:
         )
 
     def throughput(
-        self,
-        config: PibeConfig,
-        app: MacroBenchmark,
-        batches: int,
-        workload_name: str = "lmbench",
+        self, config: PibeConfig, app: MacroBenchmark, batches: int
     ) -> ThroughputResult:
         """Throughput of macrobenchmark ``app`` on a variant over
         ``batches`` batches (a Table 7 cell)."""
         s = self.settings
-        trained = self._profile_part(config, workload_name)
+        trained = self._profile_part(config, "lmbench")
         return self._cell(
-            ("throughput",) + cell_key(config, workload_name, app, batches),
+            ("throughput",) + cell_key(config, "lmbench", app, batches),
             lambda: measure_throughput(
-                self.variant(config, workload_name).module,
+                self.variant(config).module,
                 app,
                 batches=batches,
                 seed=s.seed,
@@ -910,16 +916,14 @@ class EvalContext:
             lambda: self._measure_disk_key("throughput", config, trained, app, batches),
         )
 
-    def peak_stack(
-        self, config: PibeConfig, workload_name: str = "lmbench"
-    ) -> float:
+    def peak_stack(self, config: PibeConfig) -> float:
         """Peak stack bytes of a variant over a fixed syscall mix (a
         Table 12 cell)."""
         s = self.settings
 
         def compute() -> float:
             tracker = StackUsageTracker()
-            module = self.variant(config, workload_name).module
+            module = self.variant(config).module
             interpreter = create_interpreter(
                 module, [tracker], seed=s.seed, engine=s.engine
             )
@@ -927,9 +931,9 @@ class EvalContext:
                 interpreter.run_syscall(syscall, times=_STACK_RUNS)
             return float(tracker.peak_bytes)
 
-        trained = self._profile_part(config, workload_name)
+        trained = self._profile_part(config, "lmbench")
         return self._cell(
-            ("peak_stack",) + cell_key(config, workload_name),
+            ("peak_stack",) + cell_key(config, "lmbench"),
             compute,
             lambda: self._measure_disk_key(
                 "peak_stack", config, trained, _STACK_SYSCALLS, _STACK_RUNS

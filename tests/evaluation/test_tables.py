@@ -113,8 +113,10 @@ def test_table7_macro_degradations(ctx):
 def test_warm_context_renders_tables_7_and_12_from_cells(tmp_path, monkeypatch):
     """Tables 7 and 12 read the context's throughput and peak-stack
     cells: a fresh context on a filled cache renders both identically
-    without one throughput or stack run, and Table 7 builds nothing."""
+    without one throughput or stack run, and Table 7 builds nothing. A
+    stored cell of the wrong shape is quarantined and recomputed."""
     import dataclasses
+    import json
 
     from repro.evaluation import harness
 
@@ -148,6 +150,26 @@ def test_warm_context_renders_tables_7_and_12_from_cells(tmp_path, monkeypatch):
     assert warm[:2] == cold[:2]
     assert warm[2] == 0
     assert warm[3] == {"throughput": 0, "stack": 0}
+
+    def stored(field):
+        for path in sorted((tmp_path / "measure").glob("*.json")):
+            payload = json.loads(path.read_text())
+            if field in payload:
+                return path, payload
+
+    path, _ = stored("peak_bytes")
+    path.write_text("{}")
+    path, payload = stored("throughput")
+    del payload["unit"]
+    path.write_text(json.dumps(payload))
+    with EvalContext(settings) as run_ctx:
+        t7 = tables.table7(run_ctx, batches=3).table.to_text()
+        t12 = tables.table12(run_ctx).table.to_text()
+        corrupt = run_ctx.cache.corrupt
+        quarantined = run_ctx.cache.quarantined()
+    assert (t7, t12) == cold[:2]
+    assert (corrupt, quarantined) == (2, 2)
+    assert runs == {"throughput": 1, "stack": 1}
 
 
 def test_table8_elision_grows_with_budget(ctx):
