@@ -4,7 +4,7 @@ to eliminate indirect branches first (paper Sections 4–5, 8.3)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from repro.hardening.defenses import DefenseConfig
 
@@ -16,6 +16,17 @@ from repro.hardening.defenses import DefenseConfig
 #: values explicitly to study the un-scaled behaviour.
 KERNEL_CALLER_THRESHOLD = 2_000
 KERNEL_CALLEE_THRESHOLD = 450
+
+
+def check_budget(value: Any, name: str = "budget") -> float:
+    """The one budget rule, as a float: a real number in (0, 1]. A bool
+    is an int, and JSON parses NaN; neither is a budget."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (real and 0.0 < value <= 1.0):
+        raise ValueError(
+            f"{name} {value!r} out of range: must be a number in (0, 1]"
+        )
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -39,6 +50,16 @@ class PibeConfig:
     use_default_inliner: bool = False
     #: Drop functions made unreachable by inlining.
     run_dce: bool = True
+
+    def __post_init__(self) -> None:
+        for name in ("icp_budget", "inline_budget"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, check_budget(value, name))
+        for name in ("caller_threshold", "callee_threshold"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer")
 
     # -- named configurations --------------------------------------------------
 

@@ -1,7 +1,6 @@
 """Evaluation harness: builds, profiles and measures kernel variants with
-caching, so the per-table generators (and the pytest benchmarks wrapping
-them) share one kernel, one profiling run and one measurement per
-configuration.
+caching, so the per-table generators share one kernel, one profiling run
+and one measurement per configuration.
 
 Every cell (profile, variant, lint, measurement) is read through one
 memo and one path, ``EvalContext._cell``; two accelerators sit on it:

@@ -51,7 +51,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.config import PibeConfig
+from repro.core.config import PibeConfig, check_budget
 from repro.core.report import build_overhead_report
 from repro.evaluation.formatting import Table, fmt_budget, pct
 from repro.evaluation.harness import EvalContext, EvalSettings
@@ -94,11 +94,9 @@ class SweepGrid:
     def __post_init__(self) -> None:
         if not self.budgets or not self.defenses:
             raise ValueError("sweep grid needs >= 1 budget and >= 1 defense")
-        for budget in self.budgets:
-            if not 0.0 < budget <= 1.0:
-                raise ValueError(
-                    f"budget {budget!r} out of range: must be in (0, 1]"
-                )
+        object.__setattr__(
+            self, "budgets", tuple(check_budget(b) for b in self.budgets)
+        )
         # A repeat is the only way two grid cells could share a config
         # (or a row): grid configs always set budgets, so none equals
         # the LTO baseline either, and no dedup layer is needed.
@@ -185,7 +183,7 @@ def grid_from_spec(spec: str) -> SweepGrid:
     """A grid from a preset name, a JSON file path, or inline JSON.
 
     JSON fields (all optional, defaults from the ``fast`` preset):
-    ``budgets`` (list of floats), ``defenses`` (names from
+    ``budgets`` (list of numbers in (0, 1]), ``defenses`` (names from
     :data:`~repro.hardening.defenses.DEFENSE_NAMES`), ``workloads``,
     ``scales``, ``seeds``, ``seed_base``, ``lax`` (bool).
     """
@@ -215,7 +213,7 @@ def grid_from_spec(spec: str) -> SweepGrid:
         raise ValueError(f"unknown grid field(s): {sorted(unknown)}")
     base = FAST_GRID
     return SweepGrid(
-        budgets=tuple(float(b) for b in data.get("budgets", base.budgets)),
+        budgets=tuple(data.get("budgets", base.budgets)),
         defenses=tuple(
             defense_from_name(n) for n in data["defenses"]
         ) if "defenses" in data else base.defenses,

@@ -62,3 +62,19 @@ def test_config_frozen_and_hashable():
     b = PibeConfig.lax(DefenseConfig.all_defenses())
     assert a == b
     assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("budget", [0, -1, 2.0, float("nan"), True, "0.5"])
+def test_budgets_outside_the_rule_are_rejected(budget):
+    for field in ("icp_budget", "inline_budget"):
+        with pytest.raises(ValueError, match=r"must be a number in \(0, 1\]"):
+            PibeConfig(**{field: budget})
+
+
+def test_budgets_are_floats_and_thresholds_integers():
+    assert PibeConfig(icp_budget=1).icp_budget == 1.0
+    assert isinstance(PibeConfig(icp_budget=1).icp_budget, float)
+    for field in ("caller_threshold", "callee_threshold"):
+        for value in (True, 1.5):
+            with pytest.raises(ValueError, match="must be an integer"):
+                PibeConfig(**{field: value})

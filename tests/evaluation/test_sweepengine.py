@@ -50,6 +50,14 @@ def test_grid_validation():
         SweepGrid(budgets=(0.9,), defenses=retp, seeds=0)
 
 
+@pytest.mark.parametrize("budget", ["true", '"0.5"', "2.0", "NaN"])
+def test_grid_budgets_follow_the_config_rule(budget):
+    """A JSON grid budget is a number in (0, 1], as in ``PibeConfig``:
+    no bool or string coerced by ``float()``, no NaN."""
+    with pytest.raises(ValueError, match="out of range"):
+        grid_from_spec(f'{{"budgets": [{budget}], "seeds": 1}}')
+
+
 def test_grid_rejects_repeats():
     """A repeat is the only way two grid cells could share a config, so
     the grid refuses one instead of measuring (and counting) it twice."""

@@ -1,80 +1,103 @@
-"""Reproduction scorecard."""
+"""The paper-shape gate: every fast-scale claim holds on one fast pass
+(one test per claim), the card judges the claims of its run's scale,
+and a build with inlining off fails named claims."""
+
+import dataclasses
+import re
+from types import SimpleNamespace
 
 import pytest
 
+from repro.evaluation import tables
 from repro.evaluation.harness import EvalContext, EvalSettings
 from repro.evaluation.validation import (
-    EXPECTATIONS,
-    Expectation,
+    CLAIMS,
+    FAST,
+    FULL,
+    Claim,
     Scorecard,
-    validate_all,
+    Verdict,
+    scale_of,
+    scorecard,
 )
-from repro.kernel.spec import SmallSpec
+from repro.passes.decisions import InlinePlan
+from repro.passes.inliner import InlineReport, PibeInliner
+
+FAST_CLAIMS = [claim for claim in CLAIMS if FAST in claim.scales]
+
+
+def _fast_card() -> Scorecard:
+    with EvalContext(EvalSettings.fast()) as ctx:
+        results = {name: run(ctx) for name, _, run in tables.EXPERIMENTS}
+    return scorecard(results, ctx.settings)
 
 
 @pytest.fixture(scope="module")
-def ctx():
-    return EvalContext(
-        EvalSettings(
-            spec=SmallSpec(),
-            profile_iterations=1,
-            profile_ops_scale=0.2,
-            measure_ops_scale=0.12,
-        )
-    )
+def fast_card():
+    return _fast_card()
 
 
-def test_expectation_check_mechanics():
-    exp = Expectation(
-        "demo", paper_value=1.0, low=0.5, high=1.5,
-        extract=lambda ctx: 1.2,
-    )
-    result = exp.check(None)
-    assert result.passed
-    assert result.measured == 1.2
-    failing = Expectation(
-        "demo2", paper_value=1.0, low=0.5, high=1.5,
-        extract=lambda ctx: 9.0,
-    )
-    assert not failing.check(None).passed
+def _claim_id(claim: Claim) -> str:
+    return re.sub(r"[^a-z0-9]+", "-", claim.name.lower()).strip("-")
+
+
+@pytest.mark.parametrize("claim", FAST_CLAIMS, ids=_claim_id)
+def test_claim(claim, fast_card):
+    verdict = next(v for v in fast_card.verdicts if v.claim is claim)
+    assert verdict.passed, verdict
+
+
+def test_card_judges_the_claims_of_its_scale(fast_card):
+    assert fast_card.scale == FAST
+    assert [v.claim for v in fast_card.verdicts] == FAST_CLAIMS
+    assert scale_of(EvalSettings()) == FULL
+    # jobs and the cache change how a run is computed, not its scale
+    fast = dataclasses.replace(EvalSettings.fast(), jobs=2, cache_dir="c")
+    assert scale_of(fast) == FAST
+
+
+def test_inlining_off_fails_named_claims(monkeypatch):
+    """A deliberately broken build, PIBE's inliner planning nothing,
+    misses the headline band and more."""
+    def plan_nothing(self, space):
+        return InlinePlan(report=InlineReport(budget=self.budget))
+
+    monkeypatch.setattr(PibeInliner, "plan", plan_nothing)
+    card = _fast_card()
+    assert "Table 5: all defenses, lax heuristics" in card.failed
+    assert "NO" in card.to_table().to_text()
+
+
+def test_claim_check_mechanics():
+    run = SimpleNamespace(settings=None, demo=SimpleNamespace(value=1.2))
+    band = Claim("band", lambda r: r.demo.value, band=(0.5, 1.5), paper=1.0)
+    assert band.judge(run) == Verdict(band, 1.2, True)
+    narrow = Claim("narrow", lambda r: r.demo.value, band=(0.5, 1.0))
+    assert not narrow.judge(run).passed
+    assert Claim("above", lambda r: r.demo.value > 1).judge(run).passed
+    assert not Claim("far", lambda r: r.demo.value > 2).judge(run).passed
 
 
 def test_scorecard_rendering():
-    card = Scorecard(
-        [
-            Expectation("a", 0.1, 0.0, 0.2, lambda c: 0.1).check(None),
-            Expectation("b", 0.1, 0.0, 0.05, lambda c: 0.1).check(None),
-        ]
-    )
-    assert card.passed == 1
-    assert not card.all_passed
+    claims = [
+        Claim("a", lambda r: 0.1, band=(0.0, 0.2), paper=0.1),
+        Claim("b", lambda r: False),
+    ]
+    card = Scorecard(FAST, [claim.judge(None) for claim in claims])
+    assert card.failed == ["b"]
     text = card.to_table().to_text()
-    assert "1/2 within band" in text
+    assert "1/2 claims hold at fast scale" in text
     assert "NO" in text
 
 
-def test_headline_expectations_hold_on_test_kernel(ctx):
-    """The core claims stay within band even at reduced scale."""
-    headline = [
-        e
-        for e in EXPECTATIONS
-        if e.name
-        in (
-            "Table 1: retpoline icall ticks",
-            "Table 1: return retpoline ticks",
-            "Table 5: all defenses, no optimization",
-            "Table 5: all defenses, lax heuristics",
-            "Table 6: PGO-only speedup",
-        )
-    ]
-    card = validate_all(ctx, headline)
-    failing = [r.expectation.name for r in card.results if not r.passed]
-    assert card.all_passed, failing
-
-
-def test_expectation_bands_contain_paper_values():
-    for exp in EXPECTATIONS:
-        assert exp.low <= exp.high
+def test_claim_bands_contain_paper_values():
+    assert len({_claim_id(claim) for claim in CLAIMS}) == len(CLAIMS)
+    for claim in CLAIMS:
+        assert set(claim.scales) <= {FAST, FULL} and claim.scales
+        if claim.band is None:
+            continue
+        low, high = claim.band
+        assert low <= high
         # the band should be wide enough that the paper's own number,
         # were it measured, would usually pass (simulator tolerance)
-        assert exp.low <= exp.paper_value * 1.8 + 0.2
+        assert low <= claim.paper * 1.8 + 0.2
