@@ -104,7 +104,7 @@ def run_sweep_bench(fast: bool) -> Dict[str, Any]:
     )
     benches = [BY_NAME[n] for n in bench_names]
     # One kernel for all three runs: a rebuilt kernel would carry shifted
-    # site ids and so a different profile/prefix cache universe.
+    # site ids, so it would miss every profile, prefix and measured entry.
     kernels = {"small": build_kernel(SCALE_SPECS["small"])}
 
     with tempfile.TemporaryDirectory(prefix="bench-sweep-") as tmp:

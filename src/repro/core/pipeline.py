@@ -214,16 +214,6 @@ class PrefixEntry:
     reports: Dict[str, Any]
     #: provenance of this entry: "built" | "memory" | "disk"
     source: str = "built"
-    #: site-sensitive fingerprint, computed lazily (only persistence and
-    #: disk-load verification need it)
-    _fingerprint: Optional[str] = None
-
-    def fingerprint(self) -> str:
-        if self._fingerprint is None:
-            self._fingerprint = module_fingerprint(
-                self.module, include_sites=True
-            )
-        return self._fingerprint
 
 
 class _DecisionBasis:
@@ -419,11 +409,12 @@ class PibePipeline:
             "prefix_chunks_reused": 0,
         }
 
-    def _baseline_fingerprint(self) -> str:
+    def baseline_fingerprint(self) -> str:
+        """The baseline's module fingerprint, computed once: every disk
+        key of the pipeline and of the evaluation cells on it leads with
+        it."""
         if self._baseline_fp is None:
-            self._baseline_fp = module_fingerprint(
-                self.baseline, include_sites=True
-            )
+            self._baseline_fp = module_fingerprint(self.baseline)
         return self._baseline_fp
 
     def prefix_cache_info(self) -> Dict[str, Any]:
@@ -584,7 +575,7 @@ class PibePipeline:
         if self.cache is None:
             return memo_key, None
         return memo_key, cache_key(
-            "prefix", PREFIX_CACHE_VERSION, self._baseline_fingerprint(), *memo_key
+            "prefix", PREFIX_CACHE_VERSION, self.baseline_fingerprint(), *memo_key
         )
 
     def _optimized_prefix(

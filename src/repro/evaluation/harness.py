@@ -60,7 +60,6 @@ from repro.evaluation.failures import (
     MeasureManyResult,
 )
 from repro.hardening.defenses import DefenseConfig
-from repro.ir.fingerprint import module_fingerprint
 from repro.kernel.generator import build_kernel
 from repro.kernel.spec import DEFAULT_SPEC, KernelSpec, SmallSpec
 from repro.profiling.profile_data import EdgeProfile
@@ -78,8 +77,8 @@ _STACK_SYSCALLS = ("read", "open", "fork_exit", "select_tcp")
 _STACK_RUNS = 20
 
 #: How each persisted cell kind is stored: (disk-cache kind, encode,
-#: decode). The measured kinds share the ``"measure"`` disk kind; their
-#: keys tell them apart (``EvalContext._measure_disk_key``).
+#: decode). The measured kinds share the ``"measure"`` disk kind; the
+#: inputs in their keys tell them apart (``EvalContext._cell``).
 _DISK_CODECS: Dict[str, Tuple[str, Callable, Callable]] = {
     "profile": ("profile", EdgeProfile.to_dict, EdgeProfile.from_dict),
     "measure": ("measure", dict, dict),
@@ -217,29 +216,26 @@ class EvalContext:
         if self._closed:
             raise RuntimeError("EvalContext is closed")
 
-    def _kernel_fingerprint(self, include_sites: bool) -> str:
-        key = ("fingerprint", include_sites)
-        if key not in self._memo:  # not a _cell: lookups need it when closed
-            self._memo[key] = module_fingerprint(self.kernel, include_sites)
-        return self._memo[key]
-
     def _cell(
         self,
         key: Tuple,
         compute: Optional[Callable[[], Any]] = None,
-        disk_key: Optional[Callable[[], str]] = None,
+        inputs: Optional[Callable[[], Tuple]] = None,
         fault: Optional[Callable[[], str]] = None,
     ) -> Any:
         """The one path of every cell: memo, disk ``get``, compute, disk
         ``put``, memo. ``key`` is ``(kind,) + ...``.
 
-        ``disk_key`` derives the disk key (after a memo miss, with a
-        cache); without one the cell stays in memory. An entry that does
-        not decode is quarantined and the cell computed. With no
-        ``compute`` the call is a lookup: memo or disk, else ``None``.
-        A computing call checks that the context is open, then fires the
-        ``measure.cell`` injection point for the label ``fault`` makes,
-        then reads disk.
+        ``inputs`` gives the cell's disk-key inputs (called after a memo
+        miss, with a cache); without it the cell stays in memory. Every
+        disk key is the disk kind, ``ENGINE_VERSION``, the engine, the
+        kernel fingerprint, the inputs and the seed. The fingerprint is
+        the pipeline's, so profiles, prefixes and measured cells all key
+        on the kernel's exact site ids. An entry that does not decode is
+        quarantined and the cell computed. With no ``compute`` the call
+        is a lookup: memo or disk, else ``None``. A computing call
+        checks that the context is open, then fires the ``measure.cell``
+        injection point for the label ``fault`` makes, then reads disk.
         """
         value = self._memo.get(key)
         if value is not None:
@@ -249,9 +245,17 @@ class EvalContext:
             if fault is not None:
                 faults.fire("measure.cell", fault())
         digest = None
-        if disk_key is not None and self.cache is not None:
+        if inputs is not None and self.cache is not None:
             disk_kind, encode, decode = _DISK_CODECS[key[0]]
-            digest = disk_key()
+            s = self.settings
+            digest = cache_key(
+                disk_kind,
+                ENGINE_VERSION,
+                s.engine,
+                self.pipeline.baseline_fingerprint(),
+                *inputs(),
+                s.seed,
+            )
             entry = self.cache.get(disk_kind, digest)
             if entry is not None:
                 try:
@@ -288,23 +292,10 @@ class EvalContext:
                 engine=s.engine,
             )
 
-        # Profiles store raw site ids, so the disk key must be sensitive
-        # to the exact id assignment (include_sites=True): a cached
-        # profile replayed against a kernel with shifted ids would
-        # silently mis-attribute every edge.
         return self._cell(
             ("profile", workload_name),
             compute,
-            lambda: cache_key(
-                "profile",
-                ENGINE_VERSION,
-                s.engine,
-                self._kernel_fingerprint(include_sites=True),
-                workload_name,
-                s.profile_iterations,
-                s.profile_ops_scale,
-                s.seed,
-            ),
+            lambda: (workload_name, s.profile_iterations, s.profile_ops_scale),
         )
 
     # -- variants -------------------------------------------------------------
@@ -443,10 +434,11 @@ class EvalContext:
         def map_shards(shards):
             # Shards run over the persistent pool. Workers resolve the
             # variant through their own context: forked ones inherit the
-            # one compute() built, spawned ones rebuild it bit-identically
-            # (deterministic build ids), so diagnostics match the
-            # parent's. A lost shard comes back None and is recomputed
-            # inline.
+            # one compute() built, so diagnostics match the parent's. A
+            # spawned worker would build it right after a fresh kernel
+            # of its own: the parent's site ids only if the parent, too,
+            # built nothing but its kernel before this variant. A lost
+            # shard comes back None and is recomputed inline.
             return self._pool_map(
                 _lint_shard_cell,
                 [(config, workload_name, shard) for shard in shards],
@@ -509,22 +501,6 @@ class EvalContext:
             return (workload_name, s.profile_iterations, s.profile_ops_scale)
         return None
 
-    def _measure_disk_key(self, *inputs) -> str:
-        """The disk key of a measured cell: the engine, the shape-only
-        kernel fingerprint, the cell's ``inputs`` (led by the config of a
-        per-bench measurement, by the kind tag of any other) and the seed.
-
-        Measurements depend on module *structure*, not on the site-id
-        values themselves (ids are consistent within one build), so the
-        shape-only fingerprint lets runs in fresh processes share
-        entries.
-        """
-        s = self.settings
-        fingerprint = self._kernel_fingerprint(include_sites=False)
-        return cache_key(
-            "measure", ENGINE_VERSION, s.engine, fingerprint, *inputs, s.seed
-        )
-
     def _measurement(self, config, benches, workload_name, compute: bool):
         """:meth:`measure`'s cell; a lookup unless ``compute``."""
         s = self.settings
@@ -542,7 +518,7 @@ class EvalContext:
         return self._cell(
             ("measure",) + cell_key(config, workload_name, bench_names(benches)),
             run if compute else None,
-            lambda: self._measure_disk_key(
+            lambda: (
                 config,
                 self._profile_part(config, workload_name),
                 benches,
@@ -891,9 +867,7 @@ class EvalContext:
         return self._cell(
             ("jumpswitches", params, bench_names(benches)),
             compute,
-            lambda: self._measure_disk_key(
-                "jumpswitches", params, benches, s.measure_ops_scale
-            ),
+            lambda: ("jumpswitches", params, benches, s.measure_ops_scale),
         )
 
     def throughput(
@@ -912,7 +886,7 @@ class EvalContext:
                 seed=s.seed,
                 engine=s.engine,
             ),
-            lambda: self._measure_disk_key("throughput", config, trained, app, batches),
+            lambda: ("throughput", config, trained, app, batches),
         )
 
     def peak_stack(self, config: PibeConfig) -> float:
@@ -934,7 +908,7 @@ class EvalContext:
         return self._cell(
             ("peak_stack",) + cell_key(config, "lmbench"),
             compute,
-            lambda: self._measure_disk_key(
+            lambda: (
                 "peak_stack", config, trained, _STACK_SYSCALLS, _STACK_RUNS
             ),
         )
@@ -1026,9 +1000,11 @@ def _lint_shard_cell(cell):
     """Run one lint shard (rule-names × function-names) in a worker.
 
     The worker resolves the variant through its own context: forked
-    workers inherit the parent's memoized build outright, spawned ones
-    rebuild it bit-identically (deterministic build ids), so diagnostics
-    — including site ids — match the parent's.
+    workers inherit the parent's memoized build outright, so diagnostics
+    — including site ids — match the parent's. Site ids come from a
+    process-wide counter, so a spawned worker, which builds a fresh
+    kernel and then the variant, mints the parent's ids only if the
+    parent, too, built nothing but its kernel before this variant.
     """
     config, workload_name, shard = cell
     assert _WORKER_CTX is not None, "worker initialized without a context"

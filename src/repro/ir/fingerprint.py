@@ -4,15 +4,13 @@ The evaluation's on-disk cache needs a key that says "this is byte-for-
 byte the same program" without serializing whole modules into every key.
 A fingerprint is a SHA-256 over a canonical rendering of a function's
 structure: blocks in insertion order, each instruction's opcode, callee,
-successor labels, argument count and attributes (dict attributes sorted
-by key so hash ordering never leaks in).
+successor labels, argument count, site id and attributes (dict
+attributes sorted by key so hash ordering never leaks in).
 
-Site ids are *included* by default: they are what profiles are keyed on,
-so two modules that differ only in id assignment (e.g. built at different
-points of one process's lifetime) must not share profile cache entries.
-Pass ``include_sites=False`` for an id-insensitive fingerprint — the
-right key for artifacts that only depend on program *shape*, like
-measured cycles per operation.
+Site ids are part of the key: profiles are keyed on them and the BTB
+model indexes by them, so two modules that differ only in id assignment
+(e.g. built at different points of one process's lifetime) share no
+cache entry of any kind.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ def _canon(value) -> object:
     return repr(value)
 
 
-def _function_text(func: Function, include_sites: bool) -> Iterable[str]:
+def _function_text(func: Function) -> Iterable[str]:
     yield (
         f"func {func.name} params={func.num_params} "
         f"frame={func.stack_frame_size} subsystem={func.subsystem} "
@@ -45,24 +43,23 @@ def _function_text(func: Function, include_sites: bool) -> Iterable[str]:
     for label, block in func.blocks.items():
         yield f"block {label}"
         for inst in block.instructions:
-            site = inst.site_id if include_sites else None
             yield (
                 f"  {inst.opcode.value} callee={inst.callee} "
                 f"targets={inst.targets} args={inst.num_args} "
-                f"site={site} attrs={_canon(inst.attrs)}"
+                f"site={inst.site_id} attrs={_canon(inst.attrs)}"
             )
 
 
-def function_fingerprint(func: Function, include_sites: bool = True) -> str:
+def function_fingerprint(func: Function) -> str:
     """Hex SHA-256 of one function's canonical structure."""
     digest = hashlib.sha256()
-    for line in _function_text(func, include_sites):
+    for line in _function_text(func):
         digest.update(line.encode())
         digest.update(b"\n")
     return digest.hexdigest()
 
 
-def module_fingerprint(module: Module, include_sites: bool = True) -> str:
+def module_fingerprint(module: Module) -> str:
     """Hex SHA-256 over every function plus tables, syscalls and metadata.
 
     Functions are hashed in sorted-name order, so two modules whose
@@ -72,11 +69,7 @@ def module_fingerprint(module: Module, include_sites: bool = True) -> str:
     digest = hashlib.sha256()
     for name in sorted(module.functions):
         digest.update(name.encode())
-        digest.update(
-            function_fingerprint(
-                module.functions[name], include_sites=include_sites
-            ).encode()
-        )
+        digest.update(function_fingerprint(module.functions[name]).encode())
     for name in sorted(module.fptr_tables):
         table = module.fptr_tables[name]
         digest.update(f"table {name} {table.entries}".encode())

@@ -9,9 +9,9 @@ a machine format whose round trip is *exact*. A module is written as one
 header (:func:`module_header_to_dict`) plus function-body chunks
 (:func:`functions_to_chunk`), and read back with
 :func:`functions_from_chunk` and :func:`module_from_header`; the result
-fingerprints identically to the original with ``include_sites=True``, so
-a variant stamped on a disk-loaded prefix is bit-identical to one
-stamped on the freshly built prefix.
+fingerprints identically to the original, site ids included, so a
+variant stamped on a disk-loaded prefix is bit-identical to one stamped
+on the freshly built prefix.
 
 Everything JSON can't express natively is covered explicitly:
 

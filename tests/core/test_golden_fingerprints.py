@@ -1,6 +1,6 @@
 """Golden build fingerprints: a fixed matrix of defenses, budgets and
 inliners on the default kernel must keep producing the exact
-``include_sites=True`` fingerprints frozen in
+fingerprints frozen in
 ``golden/build_fingerprints.json``. Every config goes through the
 default build path; the all-defenses row also goes through the
 ``validate=True`` reference path, which runs each pass through the
@@ -73,7 +73,7 @@ def build_matrix():
                         config, profile, validate=validate
                     )
                 result[path][config.label()] = module_fingerprint(
-                    build.module, include_sites=True
+                    build.module
                 )
     return result
 

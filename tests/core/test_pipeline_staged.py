@@ -26,10 +26,6 @@ DEFENSE_SWEEP = (
 )
 
 
-def _fingerprint(module) -> str:
-    return module_fingerprint(module, include_sites=True)
-
-
 def _build(pipeline, config, profile, validate=False):
     """One variant under a fresh id checkpoint, so staged and reference
     (``validate=True``: every pass through the pass manager) builds mint
@@ -58,7 +54,7 @@ def test_staged_bit_identical_to_monolithic(
     config = PibeConfig.lax(defenses)
     mono = _build(fresh_pipeline, config, small_profile, validate=True)
     staged = _build(fresh_pipeline, config, small_profile)
-    assert _fingerprint(staged.module) == _fingerprint(mono.module)
+    assert module_fingerprint(staged.module) == module_fingerprint(mono.module)
     assert format_module(staged.module) == format_module(mono.module)
     validate_module(staged.module)
 
@@ -69,7 +65,9 @@ def test_staged_unoptimized_bit_identical(fresh_pipeline):
         config = PibeConfig.hardened(defenses)
         mono = _build(fresh_pipeline, config, None, validate=True)
         staged = _build(fresh_pipeline, config, None)
-        assert _fingerprint(staged.module) == _fingerprint(mono.module)
+        assert module_fingerprint(staged.module) == module_fingerprint(
+            mono.module
+        )
         assert format_module(staged.module) == format_module(mono.module)
         assert list(staged.reports) == list(mono.reports)
 
@@ -149,10 +147,10 @@ def test_variant_reports_are_private(small_kernel, small_profile):
 
 def test_staged_baseline_never_mutated(small_kernel, small_profile):
     pipeline = PibePipeline(small_kernel)
-    fp_before = _fingerprint(small_kernel)
+    fp_before = module_fingerprint(small_kernel)
     for defenses in DEFENSE_SWEEP:
         pipeline.build_variant(PibeConfig.lax(defenses), small_profile)
-    assert _fingerprint(small_kernel) == fp_before
+    assert module_fingerprint(small_kernel) == fp_before
 
 
 # -- disk persistence ----------------------------------------------------------
@@ -174,7 +172,7 @@ def test_disk_warm_prefix_is_bit_identical(
     assert warm_pipeline.stats["prefix_builds"] == 0
     assert cache.stats()["by_kind"]["prefix"]["hits"] == 1
 
-    assert _fingerprint(warm.module) == _fingerprint(cold.module)
+    assert module_fingerprint(warm.module) == module_fingerprint(cold.module)
     assert format_module(warm.module) == format_module(cold.module)
     # reports survive the codec round trip
     assert json.dumps(cold.reports, default=repr, sort_keys=True) == json.dumps(
@@ -204,7 +202,7 @@ def test_tampered_prefix_payload_is_rebuilt(
     assert warm_pipeline.stats["prefix_decode_failures"] == 1
     # the tampered header was moved aside (the slot now holds the rebuild)
     assert (cache.quarantine_dir() / f"prefix-{entry.stem}.json").exists()
-    assert _fingerprint(warm.module) == _fingerprint(cold.module)
+    assert module_fingerprint(warm.module) == module_fingerprint(cold.module)
 
 
 def test_profile_identity_keys_prefix(tmp_path, small_kernel, small_profile):

@@ -27,10 +27,6 @@ from repro.kernel.spec import SmallSpec
 LADDER = (0.5, 0.9, 0.999999)
 
 
-def _fp(module) -> str:
-    return module_fingerprint(module, include_sites=True)
-
-
 def _build(pipeline, config, profile, validate=False):
     with deterministic_build_ids():
         return pipeline.build_variant(config, profile, validate=validate)
@@ -66,7 +62,7 @@ def test_delta_ladder_bit_identical_to_cold(
         d = _build(pipeline, config, small_profile)
         r = _build(pipeline, config, small_profile, validate=True)
         validate_module(d.module)
-        assert _fp(d.module) == _fp(r.module)
+        assert module_fingerprint(d.module) == module_fingerprint(r.module)
         assert format_module(d.module) == format_module(r.module)
         assert json.dumps(
             d.reports, default=repr, sort_keys=True
@@ -84,7 +80,7 @@ def test_delta_default_inliner_bit_identical(small_kernel, small_profile):
     for config in configs:
         d = _build(pipeline, config, small_profile)
         r = _build(pipeline, config, small_profile, validate=True)
-        assert _fp(d.module) == _fp(r.module)
+        assert module_fingerprint(d.module) == module_fingerprint(r.module)
         assert format_module(d.module) == format_module(r.module)
     assert pipeline.stats["prefix_delta_builds"] == len(LADDER)
 
@@ -96,7 +92,7 @@ def test_delta_strict_heuristics_bit_identical(small_kernel, small_profile):
     )
     d = _build(pipeline, config, small_profile)
     r = _build(pipeline, config, small_profile, validate=True)
-    assert _fp(d.module) == _fp(r.module)
+    assert module_fingerprint(d.module) == module_fingerprint(r.module)
     assert format_module(d.module) == format_module(r.module)
 
 
@@ -179,7 +175,9 @@ def test_warm_ladder_shares_decoded_chunks(
     warm = PibePipeline(small_kernel, cache=cache)
     for config, cold_build in zip(configs, cold_builds):
         warm_build = _build(warm, config, small_profile)
-        assert _fp(warm_build.module) == _fp(cold_build.module)
+        assert module_fingerprint(warm_build.module) == module_fingerprint(
+            cold_build.module
+        )
     assert warm.stats["prefix_disk_hits"] == len(LADDER)
     assert warm.stats["prefix_builds"] == 0
     # chunks shared between entries decode once and are served from the
@@ -209,7 +207,7 @@ def test_tampered_chunk_is_quarantined_and_rebuilt(
     assert (
         cache.quarantine_dir() / f"prefix-chunk-{victim.stem}.json"
     ).exists()
-    assert _fp(warm.module) == _fp(cold.module)
+    assert module_fingerprint(warm.module) == module_fingerprint(cold.module)
 
 
 # -- prefix state + prewarming -------------------------------------------------

@@ -228,12 +228,12 @@ def test_corrupt_cache_entry_quarantined_and_recomputed(tmp_path):
     baseline = cold.measure(config, BENCHES)
     faults.clear()
     # warm run meets the corrupt entry: quarantined, recomputed, rewritten
-    warm = EvalContext(_settings(tmp_path))
+    warm = EvalContext(_settings(tmp_path), kernel=cold.kernel)
     assert warm.measure(config, BENCHES) == baseline
     assert warm.cache.stats()["corrupt"] == 1
     assert list(warm.cache.quarantine_dir().iterdir())
     # third run: the rewritten entry serves a clean hit
-    third = EvalContext(_settings(tmp_path))
+    third = EvalContext(_settings(tmp_path), kernel=cold.kernel)
     assert third.measure(config, BENCHES) == baseline
     stats = third.cache.stats()
     assert (stats["hits"], stats["misses"], stats["corrupt"]) == (1, 0, 0)
@@ -253,7 +253,7 @@ def test_truncated_write_also_quarantined(tmp_path):
     cold = EvalContext(_settings(tmp_path))
     baseline = cold.measure(config, BENCHES)
     faults.clear()
-    warm = EvalContext(_settings(tmp_path))
+    warm = EvalContext(_settings(tmp_path), kernel=cold.kernel)
     assert warm.measure(config, BENCHES) == baseline
     assert warm.cache.stats()["corrupt"] == 1
 

@@ -394,7 +394,8 @@ def test_run_sweep_end_to_end(ctx):
         seeds=2,
     )
     benches = [BY_NAME[n] for n in ("read", "write", "pipe")]
-    result = run_sweep(grid, ctx.settings, benches=benches)
+    kernels = {"small": ctx.kernel}
+    result = run_sweep(grid, ctx.settings, benches=benches, kernels=kernels)
     assert len(result.cells) == 4
     for cell in result.cells:
         assert len(cell.geomeans) == 2
@@ -413,8 +414,9 @@ def test_run_sweep_end_to_end(ctx):
     assert result.frontier()
     assert result.stats["failed_cells"] == 0
     assert result.stats["cells_requested"] == 2 * (4 + 1)  # + lto baseline
-    # warm rerun from the shared cache: byte-identical analysis output
-    again = run_sweep(grid, ctx.settings, benches=benches)
+    # warm rerun from the shared cache and kernel: byte-identical
+    # analysis output
+    again = run_sweep(grid, ctx.settings, benches=benches, kernels=kernels)
     assert again.to_csv() == result.to_csv()
     assert again.render_report("text") == result.render_report("text")
     assert again.stats["disk_cache"]["hits"] > 0

@@ -58,8 +58,10 @@ def test_warm_context_renders_tables_7_and_12_from_cells(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "StackUsageTracker", CountingTracker)
     settings = dataclasses.replace(EvalSettings.fast(), cache_dir=str(tmp_path))
     rendered = []
+    kernel = None  # the later contexts reuse the first one's kernel
     for _ in range(2):
-        with EvalContext(settings) as run_ctx:
+        with EvalContext(settings, kernel=kernel) as run_ctx:
+            kernel = run_ctx.kernel
             t7 = tables.table7(run_ctx, batches=3).table.to_text()
             builds = run_ctx.pipeline.stats["staged_builds"]
             t12 = tables.table12(run_ctx).table.to_text()
@@ -84,7 +86,7 @@ def test_warm_context_renders_tables_7_and_12_from_cells(tmp_path, monkeypatch):
     path, payload = stored("throughput")
     del payload["unit"]
     path.write_text(json.dumps(payload))
-    with EvalContext(settings) as run_ctx:
+    with EvalContext(settings, kernel=kernel) as run_ctx:
         t7 = tables.table7(run_ctx, batches=3).table.to_text()
         t12 = tables.table12(run_ctx).table.to_text()
         corrupt = run_ctx.cache.corrupt

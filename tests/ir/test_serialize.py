@@ -2,7 +2,7 @@
 
 The contract is stronger than the textual printer/parser pair: a module
 written as a header plus function chunks and read back must fingerprint
-identically to the original with ``include_sites=True``, because
+identically to the original, site ids included, because
 variants are stamped directly onto disk-loaded prefixes and must stay
 bit-identical to ones stamped on freshly built prefixes."""
 
@@ -89,9 +89,7 @@ def test_roundtrip_fingerprint_exact():
     module = _rich_module()
     restored = _roundtrip(module)
     validate_module(restored)
-    assert module_fingerprint(restored, include_sites=True) == (
-        module_fingerprint(module, include_sites=True)
-    )
+    assert module_fingerprint(restored) == module_fingerprint(module)
     assert format_module(restored) == format_module(module)
 
 
@@ -100,9 +98,7 @@ def test_roundtrip_survives_json_text():
     path), not just the in-memory dict."""
     module = _rich_module()
     restored = _roundtrip(module, via_text=True)
-    assert module_fingerprint(restored, include_sites=True) == (
-        module_fingerprint(module, include_sites=True)
-    )
+    assert module_fingerprint(restored) == module_fingerprint(module)
 
 
 def test_roundtrip_value_profiles_are_tuples():

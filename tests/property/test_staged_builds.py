@@ -64,7 +64,5 @@ def test_staged_matches_monolithic_for_any_config(
     with deterministic_build_ids():
         staged = fresh_pipeline.build_variant(config, small_profile)
     validate_module(staged.module)
-    assert module_fingerprint(
-        staged.module, include_sites=True
-    ) == module_fingerprint(mono.module, include_sites=True)
+    assert module_fingerprint(staged.module) == module_fingerprint(mono.module)
     assert format_module(staged.module) == format_module(mono.module)
