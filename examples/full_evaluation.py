@@ -9,11 +9,14 @@ Run:  python examples/full_evaluation.py [--fast] [--jobs N]
 
 ``--fast`` uses the reduced kernel and scales (minutes -> seconds);
 ``--jobs N`` lets each table fan its own measurement cells out over N
-worker processes. Profiles and measurements persist in
-``.repro-cache/`` so a repeat run skips them; ``--no-cache`` disables
-that. ``--engine reference`` runs every table except Table 1, whose
-microbenchmarks run on the default engine, on the slow oracle
-interpreter — results are identical, only wall time changes.
+worker processes. Every cell the tables read (profiles, measurements,
+Table 1's microbenchmarks, each variant's static census) persists in
+``.repro-cache/``, so a repeat run builds no variant and runs no
+engine; the ``disk cache:`` line ends with the variant builds this
+process made. ``--no-cache`` disables the cache. ``--engine reference``
+runs every table except Table 1, whose microbenchmarks run on the
+default engine, on the slow oracle interpreter — results are identical,
+only wall time changes.
 """
 
 import argparse
@@ -71,9 +74,11 @@ def main(argv=None):
         print(f"[{label} regenerated in {elapsed:.1f}s]\n")
     if ctx.cache is not None:
         stats = ctx.cache.stats()
+        pipeline = ctx.pipeline.stats
+        builds = pipeline["staged_builds"] + pipeline["reference_builds"]
         print(
             f"disk cache: {stats['hits']} hits, {stats['misses']} misses "
-            f"({ctx.cache.root}/)"
+            f"({ctx.cache.root}/), {builds} variant builds"
         )
     print(
         f"full evaluation complete in "

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 from repro.hardening.lowering import (
     THUNK_UNITS,
@@ -100,43 +100,34 @@ class SizeReport:
 
 def size_report(
     label: str,
-    variant: Module,
-    lto_baseline: Module,
-    unoptimized_same_config: Module,
-    measured_dyn: "Optional[Tuple[float, float]]" = None,
-    text_size: Callable[[Module], int] = text_size_bytes,
+    variant: Tuple[int, int],
+    unoptimized_same_config: Tuple[int, int],
+    lto_text_bytes: int,
+    peak_stack: Tuple[float, float],
 ) -> SizeReport:
-    """Assemble one Table 12 row.
+    """Assemble one Table 12 row from image sizes.
 
-    ``measured_dyn`` optionally supplies dynamically measured peak-stack
-    bytes as ``(variant, unoptimized)``; otherwise the static proxy is
-    used. ``text_size`` computes a module's text size (a caller building
-    many rows over shared modules can pass a memoized one).
+    ``variant`` and ``unoptimized_same_config`` are ``(text bytes, slab
+    bytes)`` of the image and of the unoptimized image with the same
+    defenses (:func:`text_size_bytes`, :func:`slab_size_bytes`);
+    ``lto_text_bytes`` is the vanilla LTO image's text size. ``peak_stack``
+    is peak-stack bytes as ``(variant, unoptimized)``, measured or from
+    the static proxy :func:`peak_stack_bytes`.
     """
 
     def rel(new: float, old: float) -> float:
         return new / old - 1.0 if old else 0.0
 
-    if measured_dyn is not None:
-        dyn_increase = rel(measured_dyn[0], measured_dyn[1])
-    else:
-        dyn_increase = rel(
-            peak_stack_bytes(variant),
-            peak_stack_bytes(unoptimized_same_config),
-        )
-    variant_text = text_size(variant)
-    unoptimized_text = text_size(unoptimized_same_config)
+    variant_text, variant_slab = variant
+    unoptimized_text, unoptimized_slab = unoptimized_same_config
     return SizeReport(
         label=label,
         text_bytes=variant_text,
-        abs_size_increase=rel(variant_text, text_size(lto_baseline)),
+        abs_size_increase=rel(variant_text, lto_text_bytes),
         img_size_increase=rel(variant_text, unoptimized_text),
         mem_size_increase=rel(
             _page_quantized(variant_text), _page_quantized(unoptimized_text)
         ),
-        slab_size_increase=rel(
-            slab_size_bytes(variant),
-            slab_size_bytes(unoptimized_same_config),
-        ),
-        dyn_size_increase=dyn_increase,
+        slab_size_increase=rel(variant_slab, unoptimized_slab),
+        dyn_size_increase=rel(*peak_stack),
     )

@@ -2,13 +2,15 @@
 caching, so the per-table generators share one kernel, one profiling run
 and one measurement per configuration.
 
-Every cell (profile, variant, lint, measurement) is read through one
-memo and one path, ``EvalContext._cell``; two accelerators sit on it:
+Every cell (profile, variant, lint, measurement, a variant's static
+census, Table 1's defense costs) is read through one memo and one path,
+``EvalContext._cell``; two accelerators sit on it:
 
-- **Disk cache** (``EvalSettings.cache_dir``): profiles and measurements
-  persist under ``.repro-cache/`` keyed by kernel fingerprint, config,
-  workload, seed, scale knobs and engine version, so a repeat run of the
-  same experiment matrix skips profiling and measurement entirely.
+- **Disk cache** (``EvalSettings.cache_dir``): profiles, measurements,
+  censuses and defense costs persist under ``.repro-cache/`` keyed by
+  kernel fingerprint, config, workload, seed, scale knobs and engine
+  version, so a repeat run of the same experiment matrix builds no
+  variant and runs no engine.
 - **Parallel measurement** (:meth:`EvalContext.measure_many`): independent
   (config, workload) cells fan out over a :class:`ProcessPoolExecutor`
   and merge deterministically in input order regardless of completion
@@ -42,10 +44,17 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
 
+from repro.analysis.gadgets import ForwardEdgeCensus
+from repro.analysis.sizes import slab_size_bytes
 from repro.analysis.stack import StackUsageTracker
 from repro.baselines.jumpswitches import JumpSwitchParams, JumpSwitchTimingModel
 from repro.core.config import PibeConfig
-from repro.core.pipeline import BuildResult, PibePipeline, PrefixKey
+from repro.core.pipeline import (
+    PREFIX_CACHE_VERSION,
+    BuildResult,
+    PibePipeline,
+    PrefixKey,
+)
 from repro.engine.compiled import (
     DEFAULT_ENGINE,
     ENGINE_VERSION,
@@ -59,9 +68,17 @@ from repro.evaluation.failures import (
     FailureReport,
     MeasureManyResult,
 )
-from repro.hardening.defenses import DefenseConfig
+from repro.hardening.defenses import LVI_SAFE, SPECTRE_V2_SAFE, DefenseConfig
+from repro.hardening.lowering import (
+    THUNK_UNITS,
+    required_thunks,
+    site_expansion_units,
+)
+from repro.ir.types import INSTRUCTION_SIZE_BYTES, FunctionAttr, Opcode
 from repro.kernel.generator import build_kernel
 from repro.kernel.spec import DEFAULT_SPEC, KernelSpec, SmallSpec
+from repro.passes.icp import ICPReport, IndirectCallPromotion
+from repro.passes.inliner import InlineReport, PibeInliner
 from repro.profiling.profile_data import EdgeProfile
 from repro.workloads import TRAINING_WORKLOADS
 from repro.workloads.base import Benchmark, measure_benchmark
@@ -71,14 +88,124 @@ from repro.workloads.macro import (
     ThroughputResult,
     measure_throughput,
 )
+from repro.workloads.microbench import measure_all_ticks
+from repro.workloads.spec import measure_all_spec_slowdowns
 
 #: Table 12's stack-depth run: each syscall, this many times.
 _STACK_SYSCALLS = ("read", "open", "fork_exit", "select_tcp")
 _STACK_RUNS = 20
 
+
+@dataclass(frozen=True)
+class Census:
+    """The static counts of one built variant that Tables 8-12 read (a
+    ``census`` cell): fixed for a given key, so a warm run reads them
+    instead of building the variant."""
+
+    #: ICP's report without its per-site ``records`` (``None`` when the
+    #: config runs no ICP).
+    icp: Optional[ICPReport]
+    #: PIBE's inliner report (``None`` when the config runs no PIBE
+    #: inlining).
+    inline: Optional[InlineReport]
+    #: Return and indirect-call instructions in the module.
+    returns: int
+    icalls: int
+    forward_edges: ForwardEdgeCensus
+    #: Lowered text and startup slab bytes (Table 12's sizes).
+    text_bytes: int
+    slab_bytes: int
+
+    @classmethod
+    def from_dict(cls, d: Dict[str, Any]) -> "Census":
+        return cls(
+            icp=None if d["icp"] is None else ICPReport(**d["icp"]),
+            inline=None if d["inline"] is None else InlineReport(**d["inline"]),
+            returns=d["returns"],
+            icalls=d["icalls"],
+            forward_edges=ForwardEdgeCensus(**d["forward_edges"]),
+            text_bytes=d["text_bytes"],
+            slab_bytes=d["slab_bytes"],
+        )
+
+
+def census_of(build: BuildResult) -> Census:
+    """A variant's :class:`Census`, taken in one walk of its module.
+
+    Each count is what its reference analysis computes on the module —
+    :func:`~repro.analysis.gadgets.forward_edge_census`,
+    :func:`~repro.analysis.sizes.text_size_bytes`, ``return_sites`` and
+    ``indirect_call_sites`` — and the tests hold the walk to them.
+    """
+    module = build.module
+    edges = ForwardEdgeCensus()
+    returns = icalls = units = 0
+    tags = set()
+    for func in module:
+        boot_only = func.has_attr(FunctionAttr.BOOT_ONLY)
+        for inst in func.instructions():
+            units += 1
+            tag = inst.defense
+            if tag is not None:
+                units += site_expansion_units(inst)
+                tags.add(tag)
+            if inst.opcode == Opcode.RET:
+                returns += 1
+            elif inst.opcode == Opcode.ICALL:
+                icalls += 1
+                if tag in SPECTRE_V2_SAFE and tag in LVI_SAFE:
+                    edges.defended_icalls += 1
+                elif not boot_only:
+                    edges.vulnerable_icalls += 1
+            elif inst.opcode == Opcode.IJUMP:
+                if tag in SPECTRE_V2_SAFE:
+                    edges.defended_ijumps += 1
+                elif not boot_only:
+                    edges.vulnerable_ijumps += 1
+    for thunk in required_thunks(sorted(tags)):
+        units += THUNK_UNITS[thunk]
+    icp = build.reports.get(IndirectCallPromotion.name)
+    return Census(
+        icp=None if icp is None else dataclasses.replace(icp, records=[]),
+        inline=build.reports.get(PibeInliner.name),
+        returns=returns,
+        icalls=icalls,
+        forward_edges=edges,
+        text_bytes=units * INSTRUCTION_SIZE_BYTES,
+        slab_bytes=slab_size_bytes(module),
+    )
+
+
+@dataclass(frozen=True)
+class DefenseCosts:
+    """Table 1's microbenchmark results (a ``defense_costs`` cell)."""
+
+    #: config label -> call kind (dcall/icall/vcall) -> ticks per call
+    ticks: Dict[str, Dict[str, float]]
+    #: config label -> SPEC-like component -> slowdown
+    spec_slowdowns: Dict[str, Dict[str, float]]
+
+
+def measure_defense_costs(
+    configs: Sequence[Tuple[str, DefenseConfig]],
+    iterations: int,
+    spec_iterations: int,
+) -> DefenseCosts:
+    """Run Table 1's microbenchmarks for ``(label, defenses)`` pairs on the
+    default engine: tick loops of ``iterations`` and SPEC-like components
+    of ``spec_iterations``."""
+    configs = dict(configs)
+    return DefenseCosts(
+        measure_all_ticks(configs, iterations=iterations),
+        measure_all_spec_slowdowns(configs, iterations=spec_iterations),
+    )
+
+
 #: How each persisted cell kind is stored: (disk-cache kind, encode,
-#: decode). The measured kinds share the ``"measure"`` disk kind; the
-#: inputs in their keys tell them apart (``EvalContext._cell``).
+#: decode). The measured kinds, Table 1's defense costs included, share
+#: the ``"measure"`` disk kind; the inputs in their keys tell them apart
+#: (``EvalContext._cell``). Censuses are static counts, kept apart under
+#: ``"census"``.
 _DISK_CODECS: Dict[str, Tuple[str, Callable, Callable]] = {
     "profile": ("profile", EdgeProfile.to_dict, EdgeProfile.from_dict),
     "measure": ("measure", dict, dict),
@@ -87,6 +214,10 @@ _DISK_CODECS: Dict[str, Tuple[str, Callable, Callable]] = {
     "peak_stack": (
         "measure", lambda v: {"peak_bytes": v}, lambda d: float(d["peak_bytes"])
     ),
+    "defense_costs": (
+        "measure", dataclasses.asdict, lambda d: DefenseCosts(**d)
+    ),
+    "census": ("census", dataclasses.asdict, Census.from_dict),
 }
 
 
@@ -911,6 +1042,34 @@ class EvalContext:
             lambda: (
                 "peak_stack", config, trained, _STACK_SYSCALLS, _STACK_RUNS
             ),
+        )
+
+    def census(self, config: PibeConfig) -> Census:
+        """The static counts of a variant trained on ``lmbench`` (a
+        Tables 8-12 cell). The record is a function of the optimized
+        prefix, so its key carries ``PREFIX_CACHE_VERSION``."""
+        trained = self._profile_part(config, "lmbench")
+        return self._cell(
+            ("census",) + cell_key(config, "lmbench"),
+            lambda: census_of(self.variant(config)),
+            lambda: ("census", PREFIX_CACHE_VERSION, config, trained),
+        )
+
+    def defense_costs(
+        self,
+        configs: Sequence[Tuple[str, DefenseConfig]],
+        iterations: int,
+        spec_iterations: int,
+    ) -> DefenseCosts:
+        """Table 1's cell: :func:`measure_defense_costs`. Its
+        microbenchmarks run on the default engine whatever
+        ``settings.engine`` is; the engine and kernel fingerprint in the
+        disk key only make the key more specific."""
+        configs = tuple(configs)
+        return self._cell(
+            ("defense_costs", configs, iterations, spec_iterations),
+            lambda: measure_defense_costs(configs, iterations, spec_iterations),
+            lambda: ("defense_costs", configs, iterations, spec_iterations),
         )
 
     # -- common baselines ---------------------------------------------------------

@@ -7,22 +7,22 @@ assert on. Paper reference values appear in the table notes so printed
 output is self-describing (paper-vs-measured also lands in
 EXPERIMENTS.md).
 
-A table that measures hands its (config, workload) cells to
+Every experiment except Figure 1 renders from the context's cells,
+memoized and disk-cached, so a warm run builds no variant and runs no
+engine. A table that measures hands its (config, workload) cells to
 :meth:`~repro.evaluation.harness.EvalContext.measure_many` before it
 reads them, in the order it reads them: at ``settings.jobs > 1`` the
 cells fan out over the context's worker pool, and at ``jobs == 1`` they
 are measured inline in that same order. The cell list lives only here.
-Tables 7 and 12 read the context's throughput and peak-stack cells,
-memoized and disk-cached like measurements but measured inline, so no
-table except Table 1, which measures its own microbenchmark modules,
-drives an engine itself.
+The other cells are computed inline in the tables' order: Table 1's
+defense costs, Table 7's throughput, Tables 8-12's static census of
+each variant and Table 12's peak stack.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.gadgets import (
     CandidateStats,
@@ -30,26 +30,23 @@ from repro.analysis.gadgets import (
     ForwardEdgeCensus,
     candidate_stats,
     elimination_stats,
-    forward_edge_census,
     target_count_distribution,
 )
 from repro.analysis.robustness import workload_overlap
-from repro.analysis.sizes import SizeReport, size_report, text_size_bytes
+from repro.analysis.sizes import SizeReport, size_report
 from repro.core.config import PibeConfig
 from repro.core.report import build_overhead_report, geomean_overhead
 from repro.evaluation.formatting import Table, fmt_budget, pct, ticks, us
-from repro.evaluation.harness import EvalContext
+from repro.evaluation.harness import EvalContext, measure_defense_costs
 from repro.hardening.defenses import DefenseConfig, NonTransientDefense
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.types import Opcode
-from repro.passes.icp import ICPReport
 from repro.passes.inliner import InlineReport, PibeInliner
 from repro.profiling.profile_data import EdgeProfile
 from repro.workloads.lmbench import LMBENCH_BENCHMARKS, TABLE3_BENCHMARKS
 from repro.workloads.macro import ALL_MACROBENCHMARKS
-from repro.workloads.microbench import measure_all_ticks
-from repro.workloads.spec import geomean_slowdown, measure_all_spec_slowdowns
+from repro.workloads.spec import geomean_slowdown
 
 #: Defense configurations in Table 1 row order.
 TABLE1_CONFIGS: List[Tuple[str, DefenseConfig]] = [
@@ -91,16 +88,24 @@ class Table1Result:
     spec_slowdowns: Dict[str, float]
 
 
-def table1(iterations: int = 1000, spec_iterations: int = 40) -> Table1Result:
+def table1(
+    ctx: Optional[EvalContext] = None,
+    iterations: int = 1000,
+    spec_iterations: int = 40,
+) -> Table1Result:
     """Overhead of control-flow hijacking mitigations in clock ticks per
-    call kind, plus geometric-mean slowdown on the SPEC-like suite."""
-    configs = dict(TABLE1_CONFIGS)
-    all_ticks = measure_all_ticks(configs, iterations=iterations)
+    call kind, plus geometric-mean slowdown on the SPEC-like suite.
+
+    Read from ``ctx``'s defense-costs cell, or measured directly without
+    a context; either way on the default engine."""
+    if ctx is None:
+        costs = measure_defense_costs(TABLE1_CONFIGS, iterations, spec_iterations)
+    else:
+        costs = ctx.defense_costs(TABLE1_CONFIGS, iterations, spec_iterations)
+    all_ticks = costs.ticks
     slowdowns = {
         label: geomean_slowdown(per_component)
-        for label, per_component in measure_all_spec_slowdowns(
-            configs, iterations=spec_iterations
-        ).items()
+        for label, per_component in costs.spec_slowdowns.items()
     }
     table = Table(
         "Table 1: per-branch overhead (ticks) and SPEC-like slowdown",
@@ -444,15 +449,6 @@ def _census_config(budget: float) -> PibeConfig:
     )
 
 
-def _census_reports(
-    ctx: EvalContext, budget: float
-) -> Tuple[ICPReport, InlineReport, Module]:
-    build = ctx.variant(_census_config(budget))
-    icp_report = build.reports["indirect-call-promotion"]
-    inline_report = build.reports["pibe-inliner"]
-    return icp_report, inline_report, build.module
-
-
 @dataclass
 class Table8Result:
     table: Table
@@ -461,8 +457,9 @@ class Table8Result:
 
 def table8(ctx: EvalContext) -> Table8Result:
     """Indirect-branch gadgets eliminated per budget (paper Table 8)."""
-    unopt = ctx.variant(PibeConfig.hardened(DefenseConfig.all_defenses()))
-    total_returns = sum(1 for _ in unopt.module.return_sites())
+    total_returns = ctx.census(
+        PibeConfig.hardened(DefenseConfig.all_defenses())
+    ).returns
     stats: Dict[float, EliminationStats] = {}
     table = Table(
         "Table 8: gadgets eliminated by PIBE",
@@ -485,8 +482,8 @@ def table8(ctx: EvalContext) -> Table8Result:
         ],
     )
     for budget in CENSUS_BUDGETS:
-        icp_report, inline_report, _ = _census_reports(ctx, budget)
-        row = elimination_stats(budget, icp_report, inline_report, total_returns)
+        census = ctx.census(_census_config(budget))
+        row = elimination_stats(budget, census.icp, census.inline, total_returns)
         stats[budget] = row
         table.add_row(
             fmt_budget(budget),
@@ -523,7 +520,7 @@ def table9(ctx: EvalContext) -> Table9Result:
         ],
     )
     for budget in CENSUS_BUDGETS:
-        _, inline_report, _ = _census_reports(ctx, budget)
+        inline_report = ctx.census(_census_config(budget)).inline
         reports[budget] = inline_report
         total = max(inline_report.candidate_weight, 1)
         table.add_row(
@@ -548,8 +545,9 @@ class Table10Result:
 def table10(ctx: EvalContext) -> Table10Result:
     """Initial candidates relative to all kernel indirect branches (paper
     Table 10: at most ~3% of icalls / ~7.5% of returns are touched)."""
-    unopt = ctx.variant(PibeConfig.hardened(DefenseConfig.all_defenses()))
-    module_icalls = sum(1 for _ in unopt.module.indirect_call_sites())
+    module_icalls = ctx.census(
+        PibeConfig.hardened(DefenseConfig.all_defenses())
+    ).icalls
     stats: Dict[float, CandidateStats] = {}
     table = Table(
         "Table 10: optimization candidates vs total indirect branches",
@@ -568,10 +566,9 @@ def table10(ctx: EvalContext) -> Table10Result:
         ],
     )
     for budget in CENSUS_BUDGETS:
-        icp_report, inline_report, module = _census_reports(ctx, budget)
-        module_returns = sum(1 for _ in module.return_sites())
+        census = ctx.census(_census_config(budget))
         row = candidate_stats(
-            budget, module_icalls, module_returns, icp_report, inline_report
+            budget, module_icalls, census.returns, census.icp, census.inline
         )
         stats[budget] = row
         table.add_row(
@@ -611,8 +608,7 @@ def table11(ctx: EvalContext) -> Table11Result:
         ],
     )
     for label, config in configs:
-        build = ctx.variant(config)
-        census = forward_edge_census(build.module)
+        census = ctx.census(config).forward_edges
         censuses[label] = census
         table.add_row(
             label,
@@ -637,7 +633,7 @@ class Table12Result:
 def table12(ctx: EvalContext) -> Table12Result:
     """Kernel size and memory usage per configuration/budget (paper Table
     12: 8-37% abs size growth depending on budget)."""
-    lto = ctx.variant(PibeConfig.lto_baseline()).module
+    lto = ctx.census(PibeConfig.lto_baseline())
     rows: List[Tuple[str, DefenseConfig, float]] = [
         ("all-defenses @99%", DefenseConfig.all_defenses(), 0.99),
         ("all-defenses @99.9%", DefenseConfig.all_defenses(), 0.999),
@@ -661,9 +657,6 @@ def table12(ctx: EvalContext) -> Table12Result:
             "mem size moves in page-granular steps",
         ],
     )
-    # Rows share modules (the LTO baseline, each defense set's
-    # unoptimized variant): size each one once.
-    text_size = functools.lru_cache(maxsize=None)(text_size_bytes)
     for label, defenses, budget in rows:
         if defenses.retpolines and not defenses.ret_retpolines and not defenses.lvi_cfi:
             config = PibeConfig.hardened(defenses, icp_budget=budget)
@@ -672,13 +665,14 @@ def table12(ctx: EvalContext) -> Table12Result:
                 defenses, icp_budget=budget, inline_budget=budget
             )
         unopt_config = PibeConfig.hardened(defenses)
+        variant = ctx.census(config)
+        unopt = ctx.census(unopt_config)
         report = size_report(
             label,
-            ctx.variant(config).module,
-            lto,
-            ctx.variant(unopt_config).module,
-            measured_dyn=(ctx.peak_stack(config), ctx.peak_stack(unopt_config)),
-            text_size=text_size,
+            (variant.text_bytes, variant.slab_bytes),
+            (unopt.text_bytes, unopt.slab_bytes),
+            lto.text_bytes,
+            (ctx.peak_stack(config), ctx.peak_stack(unopt_config)),
         )
         reports[label] = report
         table.add_row(
@@ -857,7 +851,7 @@ def figure1() -> Figure1Result:
 #: every run.
 EXPERIMENTS = (
     ("figure1", "Figure 1", lambda ctx: figure1()),
-    ("table1", "Table 1", lambda ctx: table1()),
+    ("table1", "Table 1", lambda ctx: table1(ctx)),
     ("table2", "Table 2", lambda ctx: table2(ctx)),
     ("table3", "Table 3", lambda ctx: table3(ctx)),
     ("table4", "Table 4", lambda ctx: table4(ctx)),

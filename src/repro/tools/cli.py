@@ -371,11 +371,12 @@ def cmd_evaluate(args) -> int:
 
     generators = {name: run for name, _, run in tables.EXPERIMENTS}
     chosen = args.experiment or list(generators)
+    for name in chosen:
+        if name not in generators:
+            print(f"unknown experiment {name!r}", file=sys.stderr)
+            return 2
     with EvalContext(_eval_settings(args)) as ctx:
         for name in chosen:
-            if name not in generators:
-                print(f"unknown experiment {name!r}", file=sys.stderr)
-                return 2
             result = generators[name](ctx)
             print(result.table.to_text())
             print()

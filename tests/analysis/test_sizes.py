@@ -62,13 +62,23 @@ def test_peak_stack_proxy_counts_biggest_frames():
     assert peak_stack_bytes(module) == 600
 
 
+def _sizes(module):
+    return text_size_bytes(module), slab_size_bytes(module)
+
+
 def test_size_report_relative_measures():
     lto = _module()
     unopt = _module()
     HardeningPass(DefenseConfig.all_defenses()).run(unopt)
     variant = _module(extra_work=30)  # simulates inlining growth
     HardeningPass(DefenseConfig.all_defenses()).run(variant)
-    report = size_report("v", variant, lto, unopt)
+    report = size_report(
+        "v",
+        _sizes(variant),
+        _sizes(unopt),
+        text_size_bytes(lto),
+        (peak_stack_bytes(variant), peak_stack_bytes(unopt)),
+    )
     assert report.abs_size_increase > 0
     assert report.img_size_increase > 0
     assert report.abs_size_increase > report.img_size_increase
@@ -77,5 +87,7 @@ def test_size_report_relative_measures():
 
 def test_size_report_with_measured_dyn():
     lto = _module()
-    report = size_report("v", lto, lto, lto, measured_dyn=(110.0, 100.0))
+    report = size_report(
+        "v", _sizes(lto), _sizes(lto), text_size_bytes(lto), (110.0, 100.0)
+    )
     assert report.dyn_size_increase == pytest.approx(0.1)

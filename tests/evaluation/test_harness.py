@@ -160,6 +160,72 @@ def test_peak_stack_runs_on_the_settings_engine(ctx, monkeypatch):
     assert engines[1] is not Interpreter
 
 
+def _reference_census(build):
+    """A variant's census as the reference analyses compute it."""
+    from repro.analysis import (
+        forward_edge_census,
+        slab_size_bytes,
+        text_size_bytes,
+    )
+
+    module = build.module
+    icp = build.reports.get("indirect-call-promotion")
+    return harness.Census(
+        icp=None if icp is None else dataclasses.replace(icp, records=[]),
+        inline=build.reports.get("pibe-inliner"),
+        returns=sum(1 for _ in module.return_sites()),
+        icalls=sum(1 for _ in module.indirect_call_sites()),
+        forward_edges=forward_edge_census(module),
+        text_bytes=text_size_bytes(module),
+        slab_bytes=slab_size_bytes(module),
+    )
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        PibeConfig.hardened(DefenseConfig.all_defenses()),
+        PibeConfig.lax(DefenseConfig.all_defenses()),
+    ],
+    ids=["unoptimized", "lax"],
+)
+def test_census_walk_matches_the_reference_analyses(ctx, config):
+    """The census cell's one walk counts what the reference analyses
+    count on the built variant, and keeps the pass reports' totals."""
+    build = ctx.variant(config)
+    assert ctx.census(config) == _reference_census(build)
+    if config.optimized:
+        assert build.reports["indirect-call-promotion"].records
+
+
+def test_census_walk_skips_undefended_boot_only_edges():
+    """Boot-only code is exempt from the forward-edge census, as in the
+    reference: the small kernel's boot-only functions make no indirect
+    call, so a hand-built module shows it."""
+    from repro.core.pipeline import BuildResult
+    from repro.hardening.harden import HardeningPass
+    from repro.ir.builder import IRBuilder, build_leaf
+    from repro.ir.function import Function
+    from repro.ir.module import Module
+    from repro.ir.types import FunctionAttr
+
+    module = Module("m")
+    module.add_function(build_leaf("t"))
+    for name, attrs in (("normal", set()), ("boot", {FunctionAttr.BOOT_ONLY})):
+        func = Function(name, attrs=attrs)
+        b = IRBuilder(func)
+        b.icall({"t": 1})
+        b.ret()
+        module.add_function(func)
+    config = PibeConfig.hardened(DefenseConfig.retpolines_only())
+    HardeningPass(config.defenses).run(module)
+    build = BuildResult(config=config, module=module)
+    census = harness.census_of(build)
+    assert census == _reference_census(build)
+    # retpolines are not LVI-safe: only the non-boot site counts
+    assert census.forward_edges.vulnerable_icalls == 1
+
+
 def test_fast_settings_reduce_scale():
     fast = EvalSettings.fast()
     assert fast.measure_ops_scale < EvalSettings().measure_ops_scale

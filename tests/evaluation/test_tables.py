@@ -1,5 +1,5 @@
 """Table generators: the measuring tables fan their cells out at jobs 2
-with sequential results, and Tables 7 and 12 render from cached cells.
+with sequential results, and every experiment renders from cached cells.
 The paper-shape checks on every table's results are the claims of
 ``repro.evaluation.validation`` (tests/evaluation/test_validation.py)."""
 
@@ -32,65 +32,101 @@ def test_measuring_tables_fan_out_at_jobs_2():
     assert runs[2][1] == runs[1][1]
 
 
-def test_warm_context_renders_tables_7_and_12_from_cells(tmp_path, monkeypatch):
-    """Tables 7 and 12 read the context's throughput and peak-stack
-    cells: a fresh context on a filled cache renders both identically
-    without one throughput or stack run, and Table 7 builds nothing. A
-    stored cell of the wrong shape is quarantined and recomputed."""
+def test_warm_context_renders_every_experiment_from_cells(tmp_path, monkeypatch):
+    """Every experiment renders from persisted cells. A second context on
+    the filled cache, given the first one's kernel as a later process
+    builds the same kernel, renders every table byte for byte without
+    building a variant, stamping defenses, decoding a prefix chunk or
+    constructing an interpreter. After one census entry and the Table 1
+    entry are overwritten with ``{}``, a third context quarantines and
+    recomputes exactly those two."""
     import dataclasses
     import json
 
+    from repro.engine.interpreter import Interpreter
     from repro.evaluation import harness
+    from repro.hardening.harden import HardeningPass
 
-    runs = {"throughput": 0, "stack": 0}
+    counts = dict.fromkeys(
+        ("stamps", "interpreters", "defense_costs", "throughput", "stack"), 0
+    )
+    stamp = HardeningPass.run
+    init = Interpreter.__init__
+    measure_defense_costs = harness.measure_defense_costs
     measure_throughput = harness.measure_throughput
 
+    def counting_stamp(self, module):
+        counts["stamps"] += 1
+        return stamp(self, module)
+
+    def counting_init(self, *args, **kwargs):
+        counts["interpreters"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_defense_costs(*args):
+        counts["defense_costs"] += 1
+        return measure_defense_costs(*args)
+
     def counting_throughput(*args, **kwargs):
-        runs["throughput"] += 1
+        counts["throughput"] += 1
         return measure_throughput(*args, **kwargs)
 
     class CountingTracker(harness.StackUsageTracker):
         def __init__(self):
-            runs["stack"] += 1
+            counts["stack"] += 1
             super().__init__()
 
+    monkeypatch.setattr(HardeningPass, "run", counting_stamp)
+    monkeypatch.setattr(Interpreter, "__init__", counting_init)
+    monkeypatch.setattr(harness, "measure_defense_costs", counting_defense_costs)
     monkeypatch.setattr(harness, "measure_throughput", counting_throughput)
     monkeypatch.setattr(harness, "StackUsageTracker", CountingTracker)
     settings = dataclasses.replace(EvalSettings.fast(), cache_dir=str(tmp_path))
-    rendered = []
-    kernel = None  # the later contexts reuse the first one's kernel
-    for _ in range(2):
+
+    def evaluate(kernel=None):
+        counts.update(dict.fromkeys(counts, 0))
         with EvalContext(settings, kernel=kernel) as run_ctx:
-            kernel = run_ctx.kernel
-            t7 = tables.table7(run_ctx, batches=3).table.to_text()
-            builds = run_ctx.pipeline.stats["staged_builds"]
-            t12 = tables.table12(run_ctx).table.to_text()
-        rendered.append((t7, t12, builds, dict(runs)))
-        runs.update(throughput=0, stack=0)
-    cold, warm = rendered
-    # 3 apps x (LTO + 4 defenses x unoptimized/PIBE); 12 distinct modules
-    assert cold[3] == {"throughput": 27, "stack": 12}
-    assert cold[2] > 0
-    assert warm[:2] == cold[:2]
-    assert warm[2] == 0
-    assert warm[3] == {"throughput": 0, "stack": 0}
+            rendered = [
+                generate(run_ctx).table.to_text()
+                for _, _, generate in tables.EXPERIMENTS
+            ]
+            stats = run_ctx.pipeline.stats
+            work = dict(
+                counts,
+                builds=stats["staged_builds"] + stats["reference_builds"],
+                chunks=stats["prefix_chunks_decoded"],
+            )
+        return run_ctx, rendered, work
 
-    def stored(field):
-        for path in sorted((tmp_path / "measure").glob("*.json")):
-            payload = json.loads(path.read_text())
-            if field in payload:
-                return path, payload
+    cold, rendered, work = evaluate()
+    # A cold run builds its prefixes in memory: it decodes no chunk.
+    assert work.pop("chunks") == 0
+    assert all(work.values()), work
+    # Each distinct cell runs once: Table 7's 3 apps x (LTO + 4 defenses
+    # x unoptimized/PIBE), Table 12's 12 distinct modules.
+    assert (work["throughput"], work["stack"]) == (27, 12)
+    warm, again, work = evaluate(cold.kernel)
+    assert again == rendered
+    assert work == dict.fromkeys(work, 0)
+    assert warm.cache.misses == 0
 
-    path, _ = stored("peak_bytes")
-    path.write_text("{}")
-    path, payload = stored("throughput")
-    del payload["unit"]
-    path.write_text(json.dumps(payload))
-    with EvalContext(settings, kernel=kernel) as run_ctx:
-        t7 = tables.table7(run_ctx, batches=3).table.to_text()
-        t12 = tables.table12(run_ctx).table.to_text()
-        corrupt = run_ctx.cache.corrupt
-        quarantined = run_ctx.cache.quarantined()
-    assert (t7, t12) == cold[:2]
-    assert (corrupt, quarantined) == (2, 2)
-    assert runs == {"throughput": 1, "stack": 1}
+    census = sorted((tmp_path / "census").glob("*.json"))[0]
+    table1 = next(
+        path
+        for path in sorted((tmp_path / "measure").glob("*.json"))
+        if "ticks" in json.loads(path.read_text())
+    )
+    for path in (census, table1):
+        path.write_text("{}")
+    mended, again, work = evaluate(cold.kernel)
+    assert again == rendered
+    assert (mended.cache.corrupt, mended.cache.misses) == (2, 0)
+    assert sorted(p.name for p in mended.cache.quarantine_dir().iterdir()) == [
+        f"census-{census.name}",
+        f"measure-{table1.name}",
+    ]
+    # One variant rebuilt for its census, one Table 1 run, both re-stored.
+    assert (work["builds"], work["defense_costs"]) == (1, 1)
+    assert (work["throughput"], work["stack"]) == (0, 0)
+    assert "text_bytes" in json.loads(census.read_text())
+    assert "ticks" in json.loads(table1.read_text())

@@ -173,7 +173,12 @@ def test_evaluate_fans_cells_out_with_same_table(capsys):
 
 
 def test_evaluate_unknown_experiment(capsys):
-    assert main(["evaluate", "--fast", "-e", "table99"]) == 2
+    """Every name is checked before anything runs: a valid one listed
+    first prints nothing."""
+    assert main(["evaluate", "--fast", "-e", "table4", "-e", "table99"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown experiment 'table99'" in captured.err
 
 
 def test_parser_rejects_missing_subcommand():
