@@ -44,8 +44,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
 
-from repro.analysis.gadgets import ForwardEdgeCensus
-from repro.analysis.sizes import slab_size_bytes
+from repro.analysis.gadgets import ForwardEdgeCensus, forward_edge_census
+from repro.analysis.sizes import slab_size_bytes, text_size_bytes
 from repro.analysis.stack import StackUsageTracker
 from repro.baselines.jumpswitches import JumpSwitchParams, JumpSwitchTimingModel
 from repro.core.config import PibeConfig
@@ -68,13 +68,7 @@ from repro.evaluation.failures import (
     FailureReport,
     MeasureManyResult,
 )
-from repro.hardening.defenses import LVI_SAFE, SPECTRE_V2_SAFE, DefenseConfig
-from repro.hardening.lowering import (
-    THUNK_UNITS,
-    required_thunks,
-    site_expansion_units,
-)
-from repro.ir.types import INSTRUCTION_SIZE_BYTES, FunctionAttr, Opcode
+from repro.hardening.defenses import DefenseConfig
 from repro.kernel.generator import build_kernel
 from repro.kernel.spec import DEFAULT_SPEC, KernelSpec, SmallSpec
 from repro.passes.icp import ICPReport, IndirectCallPromotion
@@ -129,49 +123,27 @@ class Census:
         )
 
 
-def census_of(build: BuildResult) -> Census:
-    """A variant's :class:`Census`, taken in one walk of its module.
+#: Bump when a census record would count differently for the same
+#: variant: what :func:`census_of` reads, i.e. the forward-edge policy
+#: (which defense tags count as Spectre-V2/LVI safe, the boot-only
+#: exemption), the text and slab size model of
+#: :mod:`repro.analysis.sizes` and the lowering units it sums. Census
+#: disk keys carry it.
+CENSUS_VERSION = 1
 
-    Each count is what its reference analysis computes on the module —
-    :func:`~repro.analysis.gadgets.forward_edge_census`,
-    :func:`~repro.analysis.sizes.text_size_bytes`, ``return_sites`` and
-    ``indirect_call_sites`` — and the tests hold the walk to them.
-    """
+
+def census_of(build: BuildResult) -> Census:
+    """A variant's :class:`Census`, from the reference analyses of its
+    module and its pass reports' totals."""
     module = build.module
-    edges = ForwardEdgeCensus()
-    returns = icalls = units = 0
-    tags = set()
-    for func in module:
-        boot_only = func.has_attr(FunctionAttr.BOOT_ONLY)
-        for inst in func.instructions():
-            units += 1
-            tag = inst.defense
-            if tag is not None:
-                units += site_expansion_units(inst)
-                tags.add(tag)
-            if inst.opcode == Opcode.RET:
-                returns += 1
-            elif inst.opcode == Opcode.ICALL:
-                icalls += 1
-                if tag in SPECTRE_V2_SAFE and tag in LVI_SAFE:
-                    edges.defended_icalls += 1
-                elif not boot_only:
-                    edges.vulnerable_icalls += 1
-            elif inst.opcode == Opcode.IJUMP:
-                if tag in SPECTRE_V2_SAFE:
-                    edges.defended_ijumps += 1
-                elif not boot_only:
-                    edges.vulnerable_ijumps += 1
-    for thunk in required_thunks(sorted(tags)):
-        units += THUNK_UNITS[thunk]
     icp = build.reports.get(IndirectCallPromotion.name)
     return Census(
         icp=None if icp is None else dataclasses.replace(icp, records=[]),
         inline=build.reports.get(PibeInliner.name),
-        returns=returns,
-        icalls=icalls,
-        forward_edges=edges,
-        text_bytes=units * INSTRUCTION_SIZE_BYTES,
+        returns=sum(1 for _ in module.return_sites()),
+        icalls=sum(1 for _ in module.indirect_call_sites()),
+        forward_edges=forward_edge_census(module),
+        text_bytes=text_size_bytes(module),
         slab_bytes=slab_size_bytes(module),
     )
 
@@ -1047,12 +1019,15 @@ class EvalContext:
     def census(self, config: PibeConfig) -> Census:
         """The static counts of a variant trained on ``lmbench`` (a
         Tables 8-12 cell). The record is a function of the optimized
-        prefix, so its key carries ``PREFIX_CACHE_VERSION``."""
+        prefix and of what :func:`census_of` counts, so its key carries
+        ``PREFIX_CACHE_VERSION`` and ``CENSUS_VERSION``."""
         trained = self._profile_part(config, "lmbench")
         return self._cell(
             ("census",) + cell_key(config, "lmbench"),
             lambda: census_of(self.variant(config)),
-            lambda: ("census", PREFIX_CACHE_VERSION, config, trained),
+            lambda: (
+                "census", PREFIX_CACHE_VERSION, CENSUS_VERSION, config, trained
+            ),
         )
 
     def defense_costs(

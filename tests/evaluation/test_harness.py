@@ -190,40 +190,30 @@ def _reference_census(build):
     ids=["unoptimized", "lax"],
 )
 def test_census_walk_matches_the_reference_analyses(ctx, config):
-    """The census cell's one walk counts what the reference analyses
-    count on the built variant, and keeps the pass reports' totals."""
+    """The census cell counts what the reference analyses count on the
+    variant built for its config, and keeps the pass reports' totals."""
     build = ctx.variant(config)
     assert ctx.census(config) == _reference_census(build)
     if config.optimized:
         assert build.reports["indirect-call-promotion"].records
 
 
-def test_census_walk_skips_undefended_boot_only_edges():
-    """Boot-only code is exempt from the forward-edge census, as in the
-    reference: the small kernel's boot-only functions make no indirect
-    call, so a hand-built module shows it."""
-    from repro.core.pipeline import BuildResult
-    from repro.hardening.harden import HardeningPass
-    from repro.ir.builder import IRBuilder, build_leaf
-    from repro.ir.function import Function
-    from repro.ir.module import Module
-    from repro.ir.types import FunctionAttr
-
-    module = Module("m")
-    module.add_function(build_leaf("t"))
-    for name, attrs in (("normal", set()), ("boot", {FunctionAttr.BOOT_ONLY})):
-        func = Function(name, attrs=attrs)
-        b = IRBuilder(func)
-        b.icall({"t": 1})
-        b.ret()
-        module.add_function(func)
-    config = PibeConfig.hardened(DefenseConfig.retpolines_only())
-    HardeningPass(config.defenses).run(module)
-    build = BuildResult(config=config, module=module)
-    census = harness.census_of(build)
-    assert census == _reference_census(build)
-    # retpolines are not LVI-safe: only the non-boot site counts
-    assert census.forward_edges.vulnerable_icalls == 1
+def test_census_key_carries_census_version(tmp_path, monkeypatch):
+    """A census entry is read back only by the counting code that wrote
+    it: bumping ``CENSUS_VERSION`` misses it and counts again."""
+    settings = EvalSettings.fast()
+    settings = dataclasses.replace(settings, cache_dir=str(tmp_path))
+    config = PibeConfig.hardened(DefenseConfig.all_defenses())
+    with EvalContext(settings) as cold:
+        census = cold.census(config)
+    with EvalContext(settings, kernel=cold.kernel) as warm:
+        assert warm.census(config) == census
+        assert warm.pipeline.stats["staged_builds"] == 0
+    monkeypatch.setattr(harness, "CENSUS_VERSION", harness.CENSUS_VERSION + 1)
+    with EvalContext(settings, kernel=cold.kernel) as bumped:
+        assert bumped.census(config) == census
+        assert bumped.pipeline.stats["staged_builds"] == 1
+    assert len(list((tmp_path / "census").glob("*.json"))) == 2
 
 
 def test_fast_settings_reduce_scale():
