@@ -379,21 +379,24 @@ class PibePipeline:
         #: decoded prefix chunks by content sha — shared across entries so
         #: a warm budget ladder decodes each untouched group once.
         self._chunk_memo: Dict[str, Tuple[Dict[str, Function], int]] = {}
-        #: serialized-chunk shas keyed by the window's function-object
-        #: identities — a delta ladder shares its untouched windows as
-        #: the very same objects, so each serializes once per process.
-        #: The value pins the objects so a recycled id can never alias.
+        # The two prefix serialization memos hold windows of COW-shared
+        # functions only: a delta ladder shares its untouched windows as
+        # the very same objects, so each serializes once per process.
+        # Both key on id(). That is safe because every entry describes
+        # objects owned by the baseline or a basis (its module or a
+        # simplified clone), which the pipeline keeps for its whole
+        # life; a change that drops a basis must drop those entries with
+        # it. Prefix-owned functions belong to one entry, which no later
+        # persist reads, so they are never memoized (or kept alive).
+        #: serialized-chunk shas keyed by the window's names and
+        #: function-object identities
         self._chunk_sha_memo: Dict[
-            Tuple[Tuple[str, ...], Tuple[int, ...]],
-            Tuple[str, List[Function]],
+            Tuple[Tuple[str, ...], Tuple[int, ...]], str
         ] = {}
         #: per-function serialized dicts by object identity, shared
         #: across chunk groupings (two budgets that carve the same
-        #: function into different windows still serialize it once);
-        #: ``_serialized_pins`` keeps every memoized object alive so a
-        #: recycled id can never alias.
+        #: function into different windows still serialize it once).
         self._func_dict_memo: Dict[int, Dict[str, Any]] = {}
-        self._serialized_pins: Dict[int, Function] = {}
         self._baseline_windows_memo: Optional[List[List[str]]] = None
         #: build-engine counters (surfaced by benchmarks and ``repro
         #: cache stats``)
@@ -845,37 +848,44 @@ class PibePipeline:
 
         return cache_key("prefix-chunk", PREFIX_CACHE_VERSION, sha)
 
+    def _persist_chunk(self, chunk: Dict[str, Any]) -> str:
+        """Write one chunk payload under its content address, unless it
+        is already on disk, and return its sha."""
+        text = json.dumps(chunk)
+        sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        chunk_key = self._chunk_key(sha)
+        if not self.cache.has("prefix-chunk", chunk_key):
+            self.cache.put("prefix-chunk", chunk_key, chunk, text=text)
+        return sha
+
     def _persist_prefix(self, disk_key: str, entry: PrefixEntry) -> None:
         """Write ``entry`` as a header plus content-addressed chunks.
 
         Chunks are keyed by the sha of their serialized payload, so a
         group shared between two budget entries is stored once; ``has``
-        skips even the re-serialization for groups already on disk from
-        this or any other process.
+        skips the disk write for groups already on disk from this or any
+        other process. Windows of COW-shared functions serialize through
+        the pipeline's memos; owned windows serialize unmemoized.
         """
+        module = entry.module
         try:
-            header = module_header_to_dict(entry.module)
+            header = module_header_to_dict(module)
             groups: List[Dict[str, Any]] = []
-            for names in self._prefix_groups(entry.module):
-                funcs = [entry.module.functions[n] for n in names]
-                memo_key = (tuple(names), tuple(map(id, funcs)))
-                memo = self._chunk_sha_memo.get(memo_key)
-                if memo is None:
-                    for func in funcs:
-                        self._serialized_pins.setdefault(id(func), func)
-                    chunk = functions_to_chunk(
-                        funcs, dict_memo=self._func_dict_memo
-                    )
-                    text = json.dumps(chunk)
-                    sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
-                    chunk_key = self._chunk_key(sha)
-                    if not self.cache.has("prefix-chunk", chunk_key):
-                        self.cache.put(
-                            "prefix-chunk", chunk_key, chunk, text=text
+            for names in self._prefix_groups(module):
+                funcs = [module.functions[n] for n in names]
+                # _prefix_groups never mixes shared and owned names.
+                if module.is_cow_shared(names[0]):
+                    memo_key = (tuple(names), tuple(map(id, funcs)))
+                    sha = self._chunk_sha_memo.get(memo_key)
+                    if sha is None:
+                        sha = self._persist_chunk(
+                            functions_to_chunk(
+                                funcs, dict_memo=self._func_dict_memo
+                            )
                         )
-                    self._chunk_sha_memo[memo_key] = (sha, funcs)
+                        self._chunk_sha_memo[memo_key] = sha
                 else:
-                    sha = memo[0]
+                    sha = self._persist_chunk(functions_to_chunk(funcs))
                 groups.append({"names": names, "sha": sha})
             self.cache.put(
                 "prefix",

@@ -197,8 +197,11 @@ def functions_to_chunk(
     ``dict_memo`` (keyed by ``id(func)``) reuses per-function dicts
     across calls — budget-ladder prefixes share untouched functions as
     identical objects, so each serializes once no matter how many
-    entries (or chunk groupings) reference it. The caller must keep the
-    functions alive for the memo's lifetime so ids cannot be recycled.
+    entries (or chunk groupings) reference it. The caller must keep
+    every memoized function alive for the memo's lifetime so ids cannot
+    be recycled. :class:`~repro.core.pipeline.PibePipeline` does so by
+    memoizing only windows of copy-on-write-shared functions, which the
+    baseline or a decision basis owns for the pipeline's whole life.
     """
     if dict_memo is None:
         dicts = [_function_to_dict(f) for f in funcs]

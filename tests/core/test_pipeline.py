@@ -6,7 +6,10 @@ from repro.core.config import PibeConfig
 from repro.core.pipeline import PibePipeline
 from repro.hardening.defenses import DefenseConfig
 from repro.hardening.harden import applied_config
-from repro.ir.validate import validate_module
+from repro.ir.builder import IRBuilder, build_leaf
+from repro.ir.function import Function
+from repro.ir.module import Module
+from repro.ir.validate import ValidationError, validate_module
 from repro.workloads.lmbench import lmbench_workload
 
 
@@ -18,6 +21,20 @@ def test_baseline_never_mutated(small_pipeline, small_profile):
     )
     assert kernel.size() == size_before
     assert applied_config(kernel) == DefenseConfig.none()
+
+
+def test_malformed_baseline_rejected():
+    # The pipeline's check is the only one a parsed module meets
+    # (``repro optimize -k file.ll``).
+    module = Module("m")
+    module.add_function(build_leaf("leaf"))
+    caller = Function("caller")
+    builder = IRBuilder(caller)
+    builder.call("ghost")
+    builder.ret()
+    module.add_function(caller)
+    with pytest.raises(ValidationError, match="undefined @ghost"):
+        PibePipeline(module)
 
 
 def test_optimized_config_requires_profile(small_pipeline):

@@ -1,10 +1,12 @@
 """Delta prefix engine: budget ladders derived from a shared decision
 basis must be bit-identical to the ``validate=True`` reference build
 (every pass through the pass manager from a fresh baseline clone),
-chunked persistence must dedup across entries and quarantine corrupt
-chunks, and the prewarm path must hand prefixes over through the disk
-cache."""
+chunked persistence must dedup across entries, quarantine corrupt
+chunks and keep no prefix-owned function alive, and the prewarm path
+must hand prefixes over through the disk cache."""
 
+import collections
+import gc
 import json
 
 import pytest
@@ -17,7 +19,9 @@ from repro.core.pipeline import (
 from repro.evaluation.cache import DiskCache
 from repro.evaluation.harness import EvalContext, EvalSettings
 from repro.hardening.defenses import DefenseConfig
+from repro.ir import serialize
 from repro.ir.fingerprint import module_fingerprint
+from repro.ir.function import Function
 from repro.ir.printer import format_module
 from repro.ir.validate import validate_module
 from repro.kernel.spec import SmallSpec
@@ -208,6 +212,69 @@ def test_tampered_chunk_is_quarantined_and_rebuilt(
         cache.quarantine_dir() / f"prefix-chunk-{victim.stem}.json"
     ).exists()
     assert module_fingerprint(warm.module) == module_fingerprint(cold.module)
+
+
+def _owned_and_shared(pipeline):
+    """Ids of the prefix-owned functions of every memoized prefix, and
+    how many entries share each COW-shared function object."""
+    owned = set()
+    shared = collections.Counter()
+    for entry in pipeline._prefix_memo.values():
+        module = entry.module
+        for name, func in module.functions.items():
+            if module.is_cow_shared(name):
+                shared[id(func)] += 1
+            else:
+                owned.add(id(func))
+    return owned, shared
+
+
+def test_persisted_prefixes_keep_no_owned_function_alive(
+    tmp_path, small_kernel, small_profile
+):
+    pipeline = PibePipeline(small_kernel, cache=DiskCache(tmp_path))
+    for config in _ladder_configs(
+        DefenseConfig.all_defenses(), lax_heuristics=True
+    ):
+        _build(pipeline, config, small_profile)  # the BuildResult is dropped
+    owned, _ = _owned_and_shared(pipeline)
+    assert owned
+    pipeline._prefix_memo.clear()
+    gc.collect()
+    # Function has __slots__ and no __weakref__: find survivors by id.
+    # Nothing allocates a Function between the clear and this scan, so
+    # a match is a survivor, not a recycled id.
+    alive = [
+        obj
+        for obj in gc.get_objects()
+        if isinstance(obj, Function) and id(obj) in owned
+    ]
+    assert alive == []
+
+
+def test_shared_functions_serialize_once(
+    tmp_path, small_kernel, small_profile, monkeypatch
+):
+    calls = collections.Counter()
+    to_dict = serialize._function_to_dict
+
+    def counting(func):
+        calls[id(func)] += 1
+        return to_dict(func)
+
+    monkeypatch.setattr(serialize, "_function_to_dict", counting)
+    pipeline = PibePipeline(small_kernel, cache=DiskCache(tmp_path))
+    for config in _ladder_configs(
+        DefenseConfig.all_defenses(), lax_heuristics=True
+    ):
+        _build(pipeline, config, small_profile)
+    owned, shared = _owned_and_shared(pipeline)
+    # The ladder's entries share function objects, so an unmemoized
+    # persist would serialize them more than once.
+    assert max(shared.values()) == len(LADDER)
+    assert all(calls[key] == 1 for key in owned)
+    assert all(calls[key] <= 1 for key in shared)
+    assert set(calls) <= owned | set(shared)
 
 
 # -- prefix state + prewarming -------------------------------------------------

@@ -1,6 +1,8 @@
 """Evaluation harness caching and measurement plumbing."""
 
 import dataclasses
+import sys
+import types
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core.config import PibeConfig
 from repro.evaluation import harness
 from repro.evaluation.harness import EvalContext, EvalSettings
 from repro.hardening.defenses import DefenseConfig, NonTransientDefense
+from repro.ir import validate
 from repro.kernel.spec import SmallSpec
 from repro.workloads.lmbench import BY_NAME
 from repro.workloads.macro import NGINX
@@ -24,6 +27,25 @@ def ctx():
             measure_ops_scale=0.1,
         )
     )
+
+
+def test_context_validates_its_kernel_once(monkeypatch):
+    passes = []
+    original = validate.validate_module
+
+    def counting(module):
+        passes.append(module)
+        return original(module)
+
+    # Count the passes made through every module that bound the name.
+    for module in list(sys.modules.values()):
+        if (
+            isinstance(module, types.ModuleType)
+            and vars(module).get("validate_module") is original
+        ):
+            monkeypatch.setattr(module, "validate_module", counting)
+    with EvalContext(EvalSettings.fast()) as context:
+        assert passes == [context.kernel]
 
 
 def test_profiles_cached(ctx):

@@ -12,6 +12,12 @@ def test_small_kernel_validates(small_kernel):
     validate_module(small_kernel)
 
 
+def test_default_kernel_validates():
+    # build_kernel does not validate; pipelines do, so this pins the
+    # generator itself for the default spec.
+    validate_module(build_kernel(DEFAULT_SPEC))
+
+
 def test_generation_is_deterministic():
     spec = SmallSpec()
     a = kernel_stats(build_kernel(spec))
