@@ -24,6 +24,8 @@ from repro.ir.types import (
     ATTR_EDGE_COUNT,
     ATTR_ICP_SITE,
     ATTR_PROMOTED,
+    CALLS,
+    IMMUTABLE_OPCODES,
     METADATA_INLINED_PROMOTED,
     Opcode,
 )
@@ -114,12 +116,13 @@ def clone_function_exact(func: Function) -> Function:
     """Deep-copy one function preserving its name, labels and site ids.
 
     The building block of both eager module cloning and copy-on-write
-    materialization (:meth:`repro.ir.module.Module.mutable`). The
-    instruction copy is open-coded rather than delegated to
-    :func:`clone_instruction_exact` — hardening materializes nearly the
-    whole module under a dense defense config, making this the hottest
-    loop of a staged variant build, and the per-instruction call overhead
-    alone was a measurable fraction of stamp time.
+    materialization (:meth:`repro.ir.module.Module.mutable`): every
+    function a prefix build rewrites (profile lifting, switch lowering,
+    ICP, an inliner's callers) is copied here once. Hardening stamps
+    are not: they copy only the instructions they tag
+    (:meth:`~repro.ir.module.Module.mutable_shell`). The instruction
+    copy is open-coded rather than delegated to
+    :func:`clone_instruction_exact`, which saves a call per instruction.
     """
     cloned = Function(
         func.name,
@@ -262,13 +265,16 @@ def inline_call(
     """Splice ``callee``'s body over the call at
     ``caller.blocks[block_label].instructions[inst_index]``.
 
-    The callee is left untouched (its blocks are cloned). Raises
+    The callee is left untouched. Its immutable instructions
+    (:data:`~repro.ir.types.IMMUTABLE_OPCODES`) join the caller by
+    reference; calls get fresh site ids, terminators are cloned onto the
+    renamed labels, and returns become jumps to the continuation. Raises
     ``ValueError`` if the indicated instruction is not a direct call to
     ``callee``.
     """
     block = caller.blocks[block_label]
     call = block.instructions[inst_index]
-    if call.opcode != Opcode.CALL or call.callee != callee.name:
+    if call.opcode is not Opcode.CALL or call.callee != callee.name:
         raise ValueError(
             f"instruction {call!r} is not a direct call to @{callee.name}"
         )
@@ -278,36 +284,57 @@ def inline_call(
     serial = _next_inline_serial()
     prefix = f"inl{serial}."
 
-    # 1. Split the caller block: everything after the call moves to a
-    #    continuation block; the call itself is dropped.
+    # 1. Choose every new label before touching the caller: each must
+    #    avoid the caller's labels and the ones this splice already took.
     cont_label = caller.unique_label(f"{prefix}cont")
-    continuation = BasicBlock(cont_label, block.instructions[inst_index + 1 :])
-    del block.instructions[inst_index:]
+    chosen = {cont_label}
+    label_map: Dict[str, str] = {}
+    for old in callee.blocks:
+        label = caller.unique_label(prefix + old, chosen)
+        chosen.add(label)
+        label_map[old] = label
 
-    # 2. Clone callee blocks under renamed labels.
-    label_map: Dict[str, str] = {
-        old: caller.unique_label(prefix + old) for old in callee.blocks
-    }
+    # 2. Splice the callee's blocks under their new labels.
     new_call_sites: Dict[int, List[Instruction]] = {}
-    cloned_labels: List[str] = []
     cloned_blocks: List[BasicBlock] = []
+    new_inst = Instruction.__new__
     for old_label, old_block in callee.blocks.items():
-        new_block = BasicBlock(label_map[old_label])
+        insts: List[Instruction] = []
         for inst in old_block.instructions:
-            clone = inst.clone()
-            clone.retarget(label_map)
-            if clone.opcode == Opcode.RET:
-                # Backward-edge elimination: ret -> jmp continuation.
-                clone = Instruction(Opcode.JMP, targets=(cont_label,))
-            elif clone.is_call:
+            opcode = inst.opcode
+            if opcode in IMMUTABLE_OPCODES:
+                insts.append(inst)
+            elif opcode in CALLS:
+                # A fresh site id, minted in callee order.
+                clone = inst.clone()
                 assert inst.site_id is not None
                 new_call_sites.setdefault(inst.site_id, []).append(clone)
-            new_block.instructions.append(clone)
+                insts.append(clone)
+            elif opcode is Opcode.RET:
+                # Backward-edge elimination: ret -> jmp continuation.
+                insts.append(Instruction(Opcode.JMP, targets=(cont_label,)))
+            else:
+                # A terminator, onto the renamed successor labels.
+                clone = new_inst(Instruction)
+                clone.opcode = opcode
+                clone.callee = inst.callee
+                clone.targets = tuple(
+                    [label_map.get(t, t) for t in inst.targets]
+                )
+                clone.num_args = inst.num_args
+                clone.site_id = inst.site_id
+                clone.attrs = dict(inst.attrs)
+                insts.append(clone)
+        new_block = BasicBlock(label_map[old_label])
+        new_block.instructions = insts
         cloned_blocks.append(new_block)
-        cloned_labels.append(new_block.label)
 
-    # 3. Wire caller block -> cloned entry, register new blocks.
+    # 3. Split the caller block: everything after the call moves to the
+    #    continuation and the call itself is dropped. Wire the block to
+    #    the cloned entry and register the new blocks.
     assert callee.entry_label is not None
+    continuation = BasicBlock(cont_label, block.instructions[inst_index + 1 :])
+    del block.instructions[inst_index:]
     block.instructions.append(
         Instruction(Opcode.JMP, targets=(label_map[callee.entry_label],))
     )
@@ -321,4 +348,4 @@ def inline_call(
     # the paper's Rule 2 rationale (Section 5.2).
     caller.stack_frame_size += max(callee.stack_frame_size // 4, 8)
 
-    return InlineResult(new_call_sites, cont_label, cloned_labels)
+    return InlineResult(new_call_sites, cont_label, list(label_map.values()))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Container, Dict, Iterator, List, Optional, Set
 
 from repro.ir.basicblock import BasicBlock
 from repro.ir.instruction import Instruction
@@ -64,12 +64,13 @@ class Function:
             raise ValueError(f"function {self.name!r} has no blocks")
         return self.blocks[self.entry_label]
 
-    def unique_label(self, base: str) -> str:
-        """Return a block label derived from ``base`` not yet in use."""
-        if base not in self.blocks:
+    def unique_label(self, base: str, avoid: Container[str] = ()) -> str:
+        """Return a block label derived from ``base`` that is neither in
+        use nor in ``avoid`` (labels chosen but not yet added)."""
+        if base not in self.blocks and base not in avoid:
             return base
         i = 1
-        while f"{base}.{i}" in self.blocks:
+        while f"{base}.{i}" in self.blocks or f"{base}.{i}" in avoid:
             i += 1
         return f"{base}.{i}"
 

@@ -50,6 +50,8 @@ _METADATA_DEFENSE_MARKER = "__defense_config__"
 #: ``EnumMeta.__call__`` on every instruction, which dominates decode
 #: time for a multi-thousand-function module; a plain dict get does not.
 _OPCODE_BY_VALUE = {member.value: member for member in Opcode}
+#: ... and its inverse: ``Opcode.value`` is a Python-level property.
+_VALUE_BY_OPCODE = {member: member.value for member in Opcode}
 
 
 def _encode_attrs(attrs: Dict[str, Any]) -> Dict[str, Any]:
@@ -70,21 +72,6 @@ def _decode_attrs(attrs: Dict[str, Any]) -> Dict[str, Any]:
     return decoded
 
 
-def _instruction_to_dict(inst: Instruction) -> Dict[str, Any]:
-    data: Dict[str, Any] = {"op": inst.opcode.value}
-    if inst.callee is not None:
-        data["callee"] = inst.callee
-    if inst.targets:
-        data["targets"] = list(inst.targets)
-    if inst.num_args:
-        data["args"] = inst.num_args
-    if inst.site_id is not None:
-        data["site"] = inst.site_id
-    if inst.attrs:
-        data["attrs"] = _encode_attrs(inst.attrs)
-    return data
-
-
 def _instruction_from_dict(data: Dict[str, Any]) -> Instruction:
     inst = Instruction.__new__(Instruction)
     inst.opcode = _OPCODE_BY_VALUE[data["op"]]
@@ -98,6 +85,25 @@ def _instruction_from_dict(data: Dict[str, Any]) -> Instruction:
 
 
 def _function_to_dict(func: Function) -> Dict[str, Any]:
+    # Instructions are encoded inline: this loop runs over every
+    # instruction of every persisted prefix chunk.
+    blocks = []
+    for block in func.blocks.values():
+        insts = []
+        for inst in block.instructions:
+            data: Dict[str, Any] = {"op": _VALUE_BY_OPCODE[inst.opcode]}
+            if inst.callee is not None:
+                data["callee"] = inst.callee
+            if inst.targets:
+                data["targets"] = list(inst.targets)
+            if inst.num_args:
+                data["args"] = inst.num_args
+            if inst.site_id is not None:
+                data["site"] = inst.site_id
+            if inst.attrs:
+                data["attrs"] = _encode_attrs(inst.attrs)
+            insts.append(data)
+        blocks.append({"label": block.label, "insts": insts})
     return {
         "name": func.name,
         "params": func.num_params,
@@ -105,13 +111,7 @@ def _function_to_dict(func: Function) -> Dict[str, Any]:
         "frame": func.stack_frame_size,
         "subsystem": func.subsystem,
         "entry": func.entry_label,
-        "blocks": [
-            {
-                "label": block.label,
-                "insts": [_instruction_to_dict(i) for i in block.instructions],
-            }
-            for block in func.blocks.values()
-        ],
+        "blocks": blocks,
     }
 
 

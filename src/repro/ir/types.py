@@ -41,6 +41,12 @@ class Opcode(enum.Enum):
     #: Serializing load fence (LFENCE).
     FENCE = "fence"
 
+    # Members are singletons compared by identity, so they hash by
+    # identity too: ``Enum.__hash__`` is Python code, and every
+    # ``opcode in TERMINATORS`` test paid for it. Every printed or keyed
+    # use of a set of opcodes sorts by value.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Opcode.{self.name}"
 
@@ -55,6 +61,14 @@ CALLS = frozenset({Opcode.CALL, Opcode.ICALL})
 
 #: Opcodes an attacker can steer when unprotected (indirect branches).
 INDIRECT_BRANCHES = frozenset({Opcode.ICALL, Opcode.IJUMP, Opcode.RET})
+
+#: Opcodes of immutable instructions: they carry no site id and no
+#: successor, and nothing writes them after construction, so inline
+#: splices share them by reference (see
+#: :class:`~repro.ir.instruction.Instruction`).
+IMMUTABLE_OPCODES = frozenset(
+    {Opcode.ARITH, Opcode.CMP, Opcode.LOAD, Opcode.STORE, Opcode.FENCE}
+)
 
 
 class FunctionAttr(enum.Enum):
@@ -75,6 +89,10 @@ class FunctionAttr(enum.Enum):
     SYSCALL_ENTRY = "syscall_entry"
     #: Always-inline hint (treated as a strong inlining hint).
     ALWAYS_INLINE = "always_inline"
+
+    # Identity hash, as for :class:`Opcode`: ``Function.attrs`` sets are
+    # only tested for membership, and printed or keyed sorted by value.
+    __hash__ = object.__hash__
 
 
 # Instruction attribute keys (kept as plain strings on ``Instruction.attrs``).

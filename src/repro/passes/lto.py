@@ -19,8 +19,11 @@ from typing import Dict, List, Set
 from repro.ir.callgraph import CallGraph
 from repro.ir.function import Function
 from repro.ir.module import Module
-from repro.ir.types import FunctionAttr, Opcode
+from repro.ir.types import TERMINATORS, FunctionAttr, Opcode
 from repro.passes.manager import ModulePass
+
+#: Terminators whose targets are successor blocks.
+_BRANCHES = TERMINATORS - {Opcode.RET}
 
 
 @dataclass
@@ -80,13 +83,13 @@ class SimplifyCFG(ModulePass):
 
     @staticmethod
     def _predecessor_counts(func: Function) -> Dict[str, int]:
+        # Each distinct successor of a block's terminator counts once,
+        # a jump table's targets included.
         counts: Dict[str, int] = defaultdict(int)
         for block in func.blocks.values():
-            for succ in set(block.successors):
-                counts[succ] += 1
-            term = block.terminator
-            if term is not None and term.opcode == Opcode.IJUMP:
-                for succ in set(term.targets):
+            insts = block.instructions
+            if insts and insts[-1].opcode in _BRANCHES:
+                for succ in set(insts[-1].targets):
                     counts[succ] += 1
         return counts
 
@@ -104,10 +107,10 @@ class SimplifyCFG(ModulePass):
             if block is None:  # already absorbed into an earlier chain
                 continue
             while True:
-                term = block.terminator
-                if term is None or term.opcode != Opcode.JMP:
+                insts = block.instructions
+                if not insts or insts[-1].opcode is not Opcode.JMP:
                     break
-                succ_label = term.targets[0]
+                succ_label = insts[-1].targets[0]
                 if (
                     succ_label == block.label
                     or succ_label == entry
@@ -115,7 +118,7 @@ class SimplifyCFG(ModulePass):
                 ):
                     break
                 succ = func.blocks.pop(succ_label)
-                block.instructions[-1:] = succ.instructions
+                insts[-1:] = succ.instructions
                 merged += 1
         return merged
 
@@ -125,10 +128,12 @@ def mergeable_pairs(func: Function) -> Set[str]:
     preds = SimplifyCFG._predecessor_counts(func)
     result: Set[str] = set()
     for block in func.blocks.values():
-        term = block.terminator
+        insts = block.instructions
+        if not insts:
+            continue
+        term = insts[-1]
         if (
-            term is not None
-            and term.opcode == Opcode.JMP
+            term.opcode is Opcode.JMP
             and term.targets[0] != block.label
             and preds.get(term.targets[0], 0) == 1
             and term.targets[0] != func.entry_label

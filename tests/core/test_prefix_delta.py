@@ -18,7 +18,12 @@ from repro.core.pipeline import (
 )
 from repro.evaluation.cache import DiskCache
 from repro.evaluation.harness import EvalContext, EvalSettings
-from repro.hardening.defenses import DefenseConfig
+from repro.hardening.custom import (
+    CustomDefense,
+    CustomHardeningPass,
+    clear_registry,
+)
+from repro.hardening.defenses import DEFENSE_NAMES, DefenseConfig
 from repro.ir import serialize
 from repro.ir.fingerprint import module_fingerprint
 from repro.ir.function import Function
@@ -275,6 +280,48 @@ def test_shared_functions_serialize_once(
     assert all(calls[key] == 1 for key in owned)
     assert all(calls[key] <= 1 for key in shared)
     assert set(calls) <= owned | set(shared)
+
+
+def test_builds_never_write_shared_instructions(small_kernel, small_profile):
+    """Inline splices add the callee's immutable instructions to the
+    caller by reference, so prefix-owned functions hold objects of the
+    baseline and of the decision bases. No build step may write one:
+    after every stock defense set over a budget ladder, a custom defense
+    stamp, the default inliner, an unoptimized config and the reference
+    build, those modules fingerprint as before."""
+    pipeline = PibePipeline(small_kernel)
+    for allow_jump_tables in (True, False):
+        pipeline._decision_basis(small_profile, allow_jump_tables)
+    sources = [small_kernel] + [
+        basis.module for basis in pipeline._basis_memo.values()
+    ]
+    before = [module_fingerprint(m) for m in sources]
+
+    for make_defenses in DEFENSE_NAMES.values():
+        for config in _ladder_configs(make_defenses(), lax_heuristics=True):
+            _build(pipeline, config, small_profile)
+    fwd = CustomDefense(name="ladder_fwd", kind="forward", cycles=30.0)
+    bwd = CustomDefense(name="ladder_ret", kind="backward", cycles=20.0)
+    try:
+        for config in _ladder_configs(DefenseConfig.none()):
+            variant = _build(pipeline, config, small_profile).module
+            CustomHardeningPass(forward=fwd, backward=bwd).run(variant)
+    finally:
+        clear_registry()
+    for config in _ladder_configs(
+        DefenseConfig.all_defenses(), use_default_inliner=True
+    ):
+        _build(pipeline, config, small_profile)
+    _build(pipeline, PibeConfig.hardened(DefenseConfig.all_defenses()), None)
+    _build(
+        pipeline,
+        PibeConfig.lax(DefenseConfig.all_defenses()),
+        small_profile,
+        validate=True,
+    )
+
+    assert len(pipeline._basis_memo) == 2
+    assert [module_fingerprint(m) for m in sources] == before
 
 
 # -- prefix state + prewarming -------------------------------------------------

@@ -246,3 +246,53 @@ def test_clone_instruction_exact_preserves_identity_fields():
     # attrs dict is one-level private: tagging the copy spares the original
     copy_inst.attrs["defense"] = "retpoline"
     assert "defense" not in call.attrs
+
+
+def test_inline_shares_immutable_instructions():
+    """The splice adds the callee's arith/cmp/load/store/fence objects to
+    the caller by reference; calls, terminators and returns are never
+    shared."""
+    module = Module("m")
+    module.add_function(build_leaf("leaf"))
+    callee = Function("callee")
+    b = IRBuilder(callee)
+    then = b.new_block("then")
+    other = b.new_block("other")
+    b.arith(2)
+    b.load()
+    b.store()
+    b.fence()
+    b.call("leaf", num_args=1)
+    b.icall({"leaf": 1})
+    b.cmp()
+    b.br(then.label, other.label, p_taken=0.5)
+    b.at(then).arith(1)
+    b.at(then).jmp(other.label)
+    b.at(other).ret()
+    module.add_function(callee)
+    caller = Function("caller")
+    b = IRBuilder(caller)
+    b.call("callee")
+    b.ret()
+    module.add_function(caller)
+
+    inline_call(caller, "entry", 0, callee)
+    validate_module(module)
+    spliced = {id(inst) for inst in caller.instructions()}
+    shared = [
+        inst for inst in callee.instructions() if id(inst) in spliced
+    ]
+    immutable_opcodes = {
+        Opcode.ARITH,
+        Opcode.CMP,
+        Opcode.LOAD,
+        Opcode.STORE,
+        Opcode.FENCE,
+    }
+    immutable = [
+        inst
+        for inst in callee.instructions()
+        if inst.opcode in immutable_opcodes
+    ]
+    assert {i.opcode for i in immutable} == immutable_opcodes
+    assert shared == immutable

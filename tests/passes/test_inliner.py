@@ -5,6 +5,7 @@ import pytest
 from repro.ir.builder import IRBuilder, build_leaf
 from repro.ir.function import Function
 from repro.ir.module import Module
+from repro.ir.parser import parse_module
 from repro.ir.types import ATTR_EDGE_COUNT, FunctionAttr, Opcode
 from repro.ir.validate import validate_module
 from repro.passes.inliner import PibeInliner
@@ -322,3 +323,52 @@ def test_deep_inline_chain_keeps_index_consistent():
     assert report.inlined_sites == 4
     top = module.get("fn0")
     assert not any(inst.opcode == Opcode.CALL for inst in top.instructions())
+
+
+def test_callee_block_named_like_the_continuation():
+    """A callee block called ``cont`` must not take the continuation's
+    label: each new label is checked against the caller's blocks and
+    against the labels the splice has already chosen."""
+    module = parse_module(
+        """
+define @g(0 params) {
+entry:
+  arith
+  jmp cont
+cont:
+  ret
+}
+
+define @f(0 params) {
+entry:
+  call @g(0 args)
+  arith
+  ret
+}
+
+syscall f -> @f
+"""
+    )
+    (call,) = module.get("f").call_sites()
+    profile = EdgeProfile()
+    profile.record_direct(call.site_id, 10)
+    profile.record_invocation("f", 10)
+    profile.record_invocation("g", 10)
+    lift_profile(module, profile)
+    report = PibeInliner(profile, budget=1.0).run(module)
+    validate_module(module)
+    assert report.inlined_sites == 1
+    f = module.get("f")
+    entry, g_entry, g_cont, continuation = f.blocks.values()
+    prefix = g_entry.label[: -len("entry")]
+    assert (g_cont.label, continuation.label) == (
+        f"{prefix}cont.1",
+        f"{prefix}cont",
+    )
+    assert entry.terminator.targets == (g_entry.label,)
+    assert g_entry.terminator.targets == (g_cont.label,)
+    assert g_cont.terminator.targets == (continuation.label,)
+    assert [i.opcode for i in continuation.instructions] == [
+        Opcode.ARITH,
+        Opcode.RET,
+    ]
