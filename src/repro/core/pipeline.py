@@ -266,12 +266,14 @@ class _DecisionBasis:
     def simplified(self, name: str) -> Tuple[Optional[Function], int]:
         """SimplifyCFG's result for an untouched function: ``(None, 0)``
         when it has nothing to merge, else a shared simplified clone plus
-        its merge count (computed once, reused by every delta)."""
+        its merge count (computed once, reused by every delta). Block
+        merges write no instruction, so the clone shares the basis
+        body's immutable instructions, as a delta's own copy would."""
         cached = self._simplified.get(name)
         if cached is None:
             func = self.module.functions[name]
             if mergeable_pairs(func):
-                clone = clone_function_exact(func)
+                clone = clone_function_exact(func, cow=True)
                 cached = (clone, SimplifyCFG()._simplify(clone))
             else:
                 cached = (None, 0)
@@ -803,9 +805,8 @@ class PibePipeline:
                     stack.append(target)
         for name in list(module.functions):
             if name not in seen:
-                report.removed_instructions += module.functions[name].size()
-                del module.functions[name]
-                module._cow_shared.discard(name)
+                removed = module.remove_function(name)
+                report.removed_instructions += removed.size()
                 report.removed_functions += 1
         return report
 

@@ -23,6 +23,11 @@ every indirect transfer::
     register_defense(pscfi_fwd)
     register_defense(pscfi_ret)
     CustomHardeningPass(forward=pscfi_fwd, backward=pscfi_ret).run(module)
+
+``module`` may be any built variant (``EvalContext.variant(...).module``),
+one that a stock defense set already stamped included: the pass retags
+its branches and copies what it tags, so the prefix and the baseline
+kernel the variant shares IR with stay as they were.
 """
 
 from __future__ import annotations

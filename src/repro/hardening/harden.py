@@ -102,13 +102,16 @@ def tag_branches(
     instruction list on the first tag in a block, and the one tagged
     instruction. Untagged blocks and instructions stay shared with the
     prefix, which makes the stamp cost proportional to the number of
-    tags rather than to module size. On an ordinary (fully owned) module
-    every instruction is tagged in place, exactly as before COW existed.
+    tags rather than to module size. A shell left by an earlier stamp
+    still shares its blocks (``Module.shares_blocks``), so a second
+    stamp copies what it tags there too, whichever stamp made the
+    block. On an ordinary (fully owned) module every instruction is
+    tagged in place, exactly as before COW existed.
     """
     for name, func in list(module.functions.items()):
-        # On a COW module the function, its blocks and their
-        # instructions belong to the COW source; never mutate them.
-        shared = module.is_cow_shared(name)
+        # On a COW module the blocks and their instructions may belong
+        # to the COW source; never mutate them.
+        shared = module.shares_blocks(name)
         shell = None
         for label, block in func.blocks.items():
             insts = block.instructions

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
-from typing import Dict, Iterator, List, NamedTuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
@@ -112,30 +112,46 @@ def clone_instruction_exact(inst: Instruction) -> Instruction:
     return new
 
 
-def clone_function_exact(func: Function) -> Function:
-    """Deep-copy one function preserving its name, labels and site ids.
+def _skeleton(func: Function, cow: bool) -> Function:
+    """``func`` without its blocks. A copy-on-write skeleton shares
+    ``func.attrs`` (no pass writes a function's attributes); an eager
+    one owns a copy."""
+    cloned = Function(
+        func.name,
+        num_params=func.num_params,
+        stack_frame_size=func.stack_frame_size,
+        subsystem=func.subsystem,
+    )
+    cloned.attrs = func.attrs if cow else set(func.attrs)
+    cloned.entry_label = func.entry_label
+    return cloned
 
-    The building block of both eager module cloning and copy-on-write
-    materialization (:meth:`repro.ir.module.Module.mutable`): every
-    function a prefix build rewrites (profile lifting, switch lowering,
-    ICP, an inliner's callers) is copied here once. Hardening stamps
-    are not: they copy only the instructions they tag
+
+def clone_function_exact(func: Function, cow: bool = False) -> Function:
+    """Copy one function preserving its name, labels and site ids.
+
+    The building block of both eager module cloning (``cow=False``: the
+    copy owns every instruction and its ``attrs`` set) and copy-on-write
+    materialization (``cow=True``, :meth:`repro.ir.module.Module.mutable`):
+    the copy owns what a pass may write, calls and terminators with
+    their ``attrs``, and shares the immutable instructions
+    (:data:`~repro.ir.types.IMMUTABLE_OPCODES`) and the function's
+    ``attrs`` set with ``func``, as an inline splice does. Hardening
+    stamps copy less still: only the instructions they tag
     (:meth:`~repro.ir.module.Module.mutable_shell`). The instruction
     copy is open-coded rather than delegated to
     :func:`clone_instruction_exact`, which saves a call per instruction.
     """
-    cloned = Function(
-        func.name,
-        num_params=func.num_params,
-        attrs=set(func.attrs),
-        stack_frame_size=func.stack_frame_size,
-        subsystem=func.subsystem,
-    )
+    cloned = _skeleton(func, cow)
     blocks = cloned.blocks
+    shared = IMMUTABLE_OPCODES if cow else ()
     new_inst = Instruction.__new__
     for label, block in func.blocks.items():
         insts = []
         for inst in block.instructions:
+            if inst.opcode in shared:
+                insts.append(inst)
+                continue
             new = new_inst(Instruction)
             new.opcode = inst.opcode
             new.callee = inst.callee
@@ -158,7 +174,6 @@ def clone_function_exact(func: Function) -> Function:
         new_block = BasicBlock(label)
         new_block.instructions = insts
         blocks[label] = new_block
-    cloned.entry_label = func.entry_label
     return cloned
 
 
@@ -168,19 +183,12 @@ def clone_function_shell(func: Function) -> Function:
     The block-granular complement of :func:`clone_function_exact`, for
     :meth:`repro.ir.module.Module.mutable_shell`: the returned function
     owns its ``blocks`` dict (labels can be rebound to private blocks)
-    while the :class:`BasicBlock` objects themselves remain shared with
-    the source. The caller is responsible for copying a block before
-    mutating anything inside it.
+    while the :class:`BasicBlock` objects themselves, and the ``attrs``
+    set, remain shared with the source. The caller is responsible for
+    copying a block before mutating anything inside it.
     """
-    cloned = Function(
-        func.name,
-        num_params=func.num_params,
-        attrs=set(func.attrs),
-        stack_frame_size=func.stack_frame_size,
-        subsystem=func.subsystem,
-    )
+    cloned = _skeleton(func, cow=True)
     cloned.blocks.update(func.blocks)
-    cloned.entry_label = func.entry_label
     return cloned
 
 
@@ -196,18 +204,19 @@ def clone_module(module: Module, cow: bool = False) -> Module:
 
     With ``cow=True`` the clone is *copy-on-write at function
     granularity*: the returned module initially shares every
-    :class:`Function` object with ``module`` and records them as shared;
-    a function is deep-copied only when first materialized through
-    :meth:`Module.mutable`. Hardening and ICP touch a small fraction of
-    functions per variant, so a COW clone makes stamping a variant cost
-    proportional to what the variant actually changes. The source module
-    must be treated as immutable while clones share its functions (the
-    pipeline's baseline and cached prefix modules are).
+    :class:`Function` object with ``module`` and owns none of them; a
+    function is copied only when first materialized through
+    :meth:`Module.mutable`, and then only its calls and terminators.
+    Hardening and ICP touch a small fraction of functions per variant,
+    so a COW clone makes stamping a variant cost proportional to what
+    the variant actually changes. The source module must be treated as
+    immutable while clones share its functions (the pipeline's baseline
+    and cached prefix modules are).
     """
     new = Module(module.name)
     if cow:
         new.functions = dict(module.functions)
-        new._cow_shared = set(module.functions)
+        new._cow_copies = {}
     else:
         for func in module.functions.values():
             new.functions[func.name] = clone_function_exact(func)
@@ -232,13 +241,16 @@ class InlineResult(NamedTuple):
         mapped from the *original* site id they were cloned from.
     continuation_label:
         Label of the block holding the caller's post-call instructions.
-    cloned_labels:
-        Labels of the callee-body blocks spliced into the caller.
+    moved_sites:
+        ``site id -> (label, index)`` of every call the splice added (the
+        clones) or moved (the caller's calls after the inlined one, now
+        in the continuation). Every other call of the caller keeps its
+        position.
     """
 
     new_call_sites: Dict[int, List[Instruction]]
     continuation_label: str
-    cloned_labels: List[str]
+    moved_sites: Dict[int, Tuple[str, int]]
 
 
 def clone_function(func: Function, new_name: str) -> Function:
@@ -296,9 +308,11 @@ def inline_call(
 
     # 2. Splice the callee's blocks under their new labels.
     new_call_sites: Dict[int, List[Instruction]] = {}
+    moved_sites: Dict[int, Tuple[str, int]] = {}
     cloned_blocks: List[BasicBlock] = []
     new_inst = Instruction.__new__
     for old_label, old_block in callee.blocks.items():
+        new_label = label_map[old_label]
         insts: List[Instruction] = []
         for inst in old_block.instructions:
             opcode = inst.opcode
@@ -309,6 +323,7 @@ def inline_call(
                 clone = inst.clone()
                 assert inst.site_id is not None
                 new_call_sites.setdefault(inst.site_id, []).append(clone)
+                moved_sites[clone.site_id] = (new_label, len(insts))
                 insts.append(clone)
             elif opcode is Opcode.RET:
                 # Backward-edge elimination: ret -> jmp continuation.
@@ -325,7 +340,7 @@ def inline_call(
                 clone.site_id = inst.site_id
                 clone.attrs = dict(inst.attrs)
                 insts.append(clone)
-        new_block = BasicBlock(label_map[old_label])
+        new_block = BasicBlock(new_label)
         new_block.instructions = insts
         cloned_blocks.append(new_block)
 
@@ -333,7 +348,11 @@ def inline_call(
     #    continuation and the call itself is dropped. Wire the block to
     #    the cloned entry and register the new blocks.
     assert callee.entry_label is not None
-    continuation = BasicBlock(cont_label, block.instructions[inst_index + 1 :])
+    continuation = BasicBlock(cont_label)
+    continuation.instructions = tail = block.instructions[inst_index + 1 :]
+    for idx, inst in enumerate(tail):
+        if inst.site_id is not None:
+            moved_sites[inst.site_id] = (cont_label, idx)
     del block.instructions[inst_index:]
     block.instructions.append(
         Instruction(Opcode.JMP, targets=(label_map[callee.entry_label],))
@@ -348,4 +367,4 @@ def inline_call(
     # the paper's Rule 2 rationale (Section 5.2).
     caller.stack_frame_size += max(callee.stack_frame_size // 4, 8)
 
-    return InlineResult(new_call_sites, cont_label, list(label_map.values()))
+    return InlineResult(new_call_sites, cont_label, moved_sites)

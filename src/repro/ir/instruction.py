@@ -70,10 +70,11 @@ class Instruction:
     Instructions of :data:`~repro.ir.types.IMMUTABLE_OPCODES` (``arith``,
     ``cmp``, ``load``, ``store``, ``fence``) carry no site id and no
     successor, and nothing writes them after construction. Inline
-    splices therefore add them to the caller by reference, so one such
-    object may sit in many functions; copy it before changing it. Calls,
+    splices and copy-on-write copies (``Module.mutable``) therefore
+    share them by reference, so one such object may sit in many
+    functions and modules; copy it before changing it. Calls,
     terminators and their ``attrs`` may be rewritten (profile lifting,
-    count inheritance, ICP, defense tags), and splices clone them.
+    count inheritance, ICP, defense tags), and both copy them.
 
     Parameters
     ----------

@@ -57,11 +57,16 @@ class Module:
         #: Bumped by the pass manager after every pass — bump manually
         #: after mutating IR by hand.
         self.version = 0
-        #: names of functions still shared with a copy-on-write source
-        #: module (see ``clone_module(cow=True)``); empty for modules that
-        #: own all their functions. Shared functions are safe to read but
-        #: must be materialized via :meth:`mutable` before any mutation.
-        self._cow_shared: set = set()
+        #: Copy-on-write bookkeeping (see ``clone_module(cow=True)``):
+        #: ``None`` on a module that owns all its functions. On a COW
+        #: clone, the functions it has copied, each mapped to ``True``
+        #: when the clone owns it outright (made private by
+        #: :meth:`mutable`, or added since the clone) or to ``False``
+        #: for a :meth:`mutable_shell` skeleton, whose blocks and
+        #: instructions may still be the source's. Every other function
+        #: is shared with the COW source: safe to read, but materialized
+        #: through :meth:`mutable` before any mutation.
+        self._cow_copies: Optional[Dict[str, bool]] = None
 
     # -- copy-on-write ---------------------------------------------------------
 
@@ -69,20 +74,24 @@ class Module:
         """The function ``name``, guaranteed private to this module.
 
         On a copy-on-write clone (``clone_module(cow=True)``) the first
-        ``mutable`` call for a function replaces the shared object with a
-        private deep copy (site ids preserved) and returns it; afterwards
-        — and on ordinary modules always — this is just ``functions[name]``.
-        Every pass that mutates a function goes through this accessor, so
-        the COW source (a cached optimized-prefix module, the baseline)
-        can never be corrupted by a variant build.
+        ``mutable`` call for a shared function or a
+        :meth:`mutable_shell` skeleton replaces it with a private copy
+        (``clone_function_exact(cow=True)``: labels and site ids
+        preserved, calls and terminators copied, immutable instructions
+        and the ``attrs`` set shared) and returns it; afterwards — and
+        on ordinary modules always — this is just ``functions[name]``.
+        Every pass that mutates a function goes through this accessor,
+        so the COW source (a cached optimized-prefix module, the
+        baseline) can never be corrupted by a variant build.
         """
         func = self.functions[name]
-        if name in self._cow_shared:
+        copies = self._cow_copies
+        if copies is not None and not copies.get(name):
             from repro.ir.clone import clone_function_exact
 
-            func = clone_function_exact(func)
+            func = clone_function_exact(func, cow=True)
             self.functions[name] = func
-            self._cow_shared.discard(name)
+            copies[name] = True
         return func
 
     def mutable_shell(self, name: str) -> Function:
@@ -93,26 +102,47 @@ class Module:
         For passes that stamp attributes onto a few instructions and do
         their own block-level copy-on-write (the hardening pass): the
         caller owns ``func.blocks`` (may rebind labels to fresh blocks)
-        but MUST NOT mutate the shared block/instruction objects
-        themselves. On an already-private function this is just
-        ``functions[name]``, same as :meth:`mutable`.
+        but MUST NOT mutate the block/instruction objects themselves,
+        which :meth:`shares_blocks` keeps reporting as possibly shared.
+        On a skeleton or an owned function this is just
+        ``functions[name]``.
         """
         func = self.functions[name]
-        if name in self._cow_shared:
+        copies = self._cow_copies
+        if copies is not None and name not in copies:
             from repro.ir.clone import clone_function_shell
 
             func = clone_function_shell(func)
             self.functions[name] = func
-            self._cow_shared.discard(name)
+            copies[name] = False
         return func
 
     def is_cow_shared(self, name: str) -> bool:
-        """Whether ``name`` is still shared with this clone's COW source."""
-        return name in self._cow_shared
+        """Whether ``name`` is still the COW source's function object
+        (false for owned functions, skeletons and absent names)."""
+        copies = self._cow_copies
+        return (
+            copies is not None
+            and name not in copies
+            and name in self.functions
+        )
+
+    def shares_blocks(self, name: str) -> bool:
+        """Whether ``name``'s blocks may still be the COW source's: true
+        for a shared function and for a :meth:`mutable_shell` skeleton,
+        false for owned functions and absent names. Nothing may write
+        into such a function's blocks or instructions in place."""
+        copies = self._cow_copies
+        return (
+            copies is not None
+            and not copies.get(name)
+            and name in self.functions
+        )
 
     def cow_shared_count(self) -> int:
         """Functions still shared with the COW source (0 on owned modules)."""
-        return len(self._cow_shared)
+        copies = self._cow_copies
+        return 0 if copies is None else len(self.functions) - len(copies)
 
     def bump_version(self) -> int:
         """Mark the module as transformed; invalidates compiled programs."""
@@ -125,6 +155,15 @@ class Module:
         if func.name in self.functions:
             raise ValueError(f"duplicate function {func.name!r}")
         self.functions[func.name] = func
+        if self._cow_copies is not None:
+            self._cow_copies[func.name] = True
+        return func
+
+    def remove_function(self, name: str) -> Function:
+        """Drop ``name`` (dead-function elimination) and return it."""
+        func = self.functions.pop(name)
+        if self._cow_copies is not None:
+            self._cow_copies.pop(name, None)
         return func
 
     def get(self, name: str) -> Function:

@@ -64,7 +64,7 @@ INDIRECT_BRANCHES = frozenset({Opcode.ICALL, Opcode.IJUMP, Opcode.RET})
 
 #: Opcodes of immutable instructions: they carry no site id and no
 #: successor, and nothing writes them after construction, so inline
-#: splices share them by reference (see
+#: splices and copy-on-write copies share them by reference (see
 #: :class:`~repro.ir.instruction.Instruction`).
 IMMUTABLE_OPCODES = frozenset(
     {Opcode.ARITH, Opcode.CMP, Opcode.LOAD, Opcode.STORE, Opcode.FENCE}

@@ -287,41 +287,21 @@ class PibeInliner(ModulePass):
     # -- helpers ---------------------------------------------------------------
 
     @staticmethod
-    def _index_block(index: Dict[int, Tuple[str, int]], block) -> None:
-        label = block.label
-        for idx, inst in enumerate(block.instructions):
-            if inst.site_id is not None:
-                index[inst.site_id] = (label, idx)
+    def _build_index(func: Function) -> Dict[int, Tuple[str, int]]:
+        """Full site_id -> (block_label, idx) map for one caller.
 
-    @classmethod
-    def _build_index(cls, func: Function) -> Dict[int, Tuple[str, int]]:
-        """Full site_id -> (block_label, idx) map for one caller."""
-        index: Dict[int, Tuple[str, int]] = {}
-        for block in func.blocks.values():
-            cls._index_block(index, block)
-        return index
-
-    @classmethod
-    def _reindex_after_inline(
-        cls,
-        index: Dict[int, Tuple[str, int]],
-        caller: Function,
-        block_label: str,
-        result,
-    ) -> None:
-        """Incrementally repair the index after one ``inline_call``.
-
-        Exactly three groups of blocks changed: the truncated original
-        block (sites before the call keep their positions but are
-        rescanned for simplicity), the continuation holding the moved
-        tail (those sites' stale original-block entries are overwritten),
-        and the freshly cloned callee blocks (new sites are added). The
-        caller removes the consumed call's own entry before calling this.
+        Built once per caller; each splice then repairs it from its
+        ``InlineResult.moved_sites``, the only calls whose position it
+        changes: the clones it added and the tail it moved into the
+        continuation, whose stale entries the update overwrites. The
+        inlined call's own entry is popped.
         """
-        cls._index_block(index, caller.blocks[block_label])
-        cls._index_block(index, caller.blocks[result.continuation_label])
-        for label in result.cloned_labels:
-            cls._index_block(index, caller.blocks[label])
+        index: Dict[int, Tuple[str, int]] = {}
+        for label, block in func.blocks.items():
+            for idx, inst in enumerate(block.instructions):
+                if inst.site_id is not None:
+                    index[inst.site_id] = (label, idx)
+        return index
 
     @staticmethod
     def _inherit_counts(clone: Instruction, ratio: float) -> None:
@@ -380,7 +360,7 @@ def apply_inline_steps(
         record_inlined_promotion(module, inst)
         result = inline_call(caller, block_label, idx, callee)
         index.pop(sid, None)
-        PibeInliner._reindex_after_inline(index, caller, block_label, result)
+        index.update(result.moved_sites)
         if step.ratio is not None:
             for clones in result.new_call_sites.values():
                 for clone in clones:

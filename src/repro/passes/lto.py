@@ -50,9 +50,8 @@ class DeadFunctionElimination(ModulePass):
         reachable = CallGraph(module).reachable_from(roots)
         for name in list(module.functions):
             if name not in reachable:
-                report.removed_instructions += module.functions[name].size()
-                del module.functions[name]
-                module._cow_shared.discard(name)
+                removed = module.remove_function(name)
+                report.removed_instructions += removed.size()
                 report.removed_functions += 1
         return report
 
@@ -71,7 +70,7 @@ class SimplifyCFG(ModulePass):
         report = SimplifyCFGReport()
         for name in list(module.functions):
             func = module.functions[name]
-            if module.is_cow_shared(name):
+            if module.shares_blocks(name):
                 # Read-only precheck so untouched functions stay shared;
                 # mergeable_pairs is non-empty exactly when _simplify
                 # would perform at least one merge.

@@ -324,6 +324,51 @@ def test_builds_never_write_shared_instructions(small_kernel, small_profile):
     assert [module_fingerprint(m) for m in sources] == before
 
 
+def test_second_stamp_never_writes_shared_instructions(
+    small_kernel, small_profile
+):
+    """A stamp leaves skeletons whose blocks still belong to the prefix,
+    a decision basis or the baseline. A custom stamp on such a variant
+    (its first stamp tagged branches) must copy what it tags too: every
+    source and prefix fingerprints as before, and a variant built
+    afterwards carries none of the second stamp's tags."""
+    pipeline = PibePipeline(small_kernel)
+    variants = [
+        _build(pipeline, config, small_profile).module
+        for config in _ladder_configs(
+            DefenseConfig.all_defenses(), lax_heuristics=True
+        )
+    ]
+    unoptimized = PibeConfig.hardened(DefenseConfig.retpolines_only())
+    variants.append(_build(pipeline, unoptimized, None).module)
+    sources = (
+        [small_kernel]
+        + [basis.module for basis in pipeline._basis_memo.values()]
+        + [entry.module for entry in pipeline._prefix_memo.values()]
+    )
+    before = [module_fingerprint(m) for m in sources]
+
+    fwd = CustomDefense(name="restamp_fwd", kind="forward", cycles=30.0)
+    bwd = CustomDefense(name="restamp_ret", kind="backward", cycles=20.0)
+    try:
+        for variant in variants:
+            report = CustomHardeningPass(forward=fwd, backward=bwd).run(
+                variant
+            )
+            assert report.sites_by_defense["restamp_ret"] > 0
+    finally:
+        clear_registry()
+
+    assert [module_fingerprint(m) for m in sources] == before
+    fresh = _build(
+        pipeline, PibeConfig.hardened(DefenseConfig.none()), None
+    ).module
+    assert not any(
+        inst.defense in ("restamp_fwd", "restamp_ret")
+        for inst in fresh.instructions()
+    )
+
+
 # -- prefix state + prewarming -------------------------------------------------
 
 

@@ -8,8 +8,9 @@ from repro.ir.builder import IRBuilder, build_leaf
 from repro.ir.clone import clone_function, clone_module, inline_call
 from repro.ir.function import Function
 from repro.ir.module import Module
-from repro.ir.types import Opcode
+from repro.ir.types import IMMUTABLE_OPCODES, FunctionAttr, Opcode
 from repro.ir.validate import validate_module
+from repro.passes.lto import DeadFunctionElimination
 
 
 def _simple_module():
@@ -296,3 +297,185 @@ def test_inline_shares_immutable_instructions():
     ]
     assert {i.opcode for i in immutable} == immutable_opcodes
     assert shared == immutable
+
+
+# -- what a copy-on-write copy shares ------------------------------------------
+
+
+def _mixed_module():
+    """``mixed`` holds every immutable opcode, a call, an icall, a
+    branch, a jump and a return; ``sys_mixed`` reaches it."""
+    module = Module("m")
+    module.add_function(build_leaf("leaf"))
+    func = Function("mixed", attrs={FunctionAttr.SYSCALL_ENTRY})
+    b = IRBuilder(func)
+    then = b.new_block("then")
+    other = b.new_block("other")
+    b.arith(2)
+    b.load()
+    b.store()
+    b.fence()
+    b.call("leaf", num_args=1)
+    b.icall({"leaf": 1})
+    b.cmp()
+    b.br(then.label, other.label, p_taken=0.5)
+    b.at(then).arith(1)
+    b.at(then).jmp(other.label)
+    b.at(other).ret()
+    module.add_function(func)
+    module.register_syscall("sys_mixed", "mixed")
+    return module
+
+
+def test_cow_mutable_copies_only_calls_and_terminators():
+    module = _mixed_module()
+    source = module.get("mixed")
+    clone = clone_module(module, cow=True)
+    func = clone.mutable("mixed")
+    assert list(func.blocks) == list(source.blocks)
+    opcodes = set()
+    for label, block in source.blocks.items():
+        copied = func.blocks[label]
+        assert copied is not block
+        assert copied.instructions is not block.instructions
+        assert len(copied.instructions) == len(block.instructions)
+        for inst, new in zip(block.instructions, copied.instructions):
+            opcodes.add(inst.opcode)
+            if inst.opcode in IMMUTABLE_OPCODES:
+                assert new is inst
+            else:
+                assert new is not inst
+                assert new.attrs is not inst.attrs
+                assert (new.opcode, new.site_id, new.targets, new.attrs) == (
+                    inst.opcode,
+                    inst.site_id,
+                    inst.targets,
+                    inst.attrs,
+                )
+    assert IMMUTABLE_OPCODES <= opcodes
+    # no call or terminator object is shared, anywhere in the function
+    written = {
+        id(inst)
+        for inst in source.instructions()
+        if inst.opcode not in IMMUTABLE_OPCODES
+    }
+    assert not any(id(inst) in written for inst in func.instructions())
+
+
+def test_cow_copies_share_function_attrs():
+    module = _mixed_module()
+    clone = clone_module(module, cow=True)
+    assert clone.mutable("mixed").attrs is module.get("mixed").attrs
+    assert clone.mutable_shell("leaf").attrs is module.get("leaf").attrs
+    eager = clone_module(module).get("mixed")
+    assert eager.attrs is not module.get("mixed").attrs
+    assert eager.attrs == {FunctionAttr.SYSCALL_ENTRY}
+
+
+def test_cow_mutable_after_shell_copies_its_blocks():
+    """A stamp's skeleton still shares its blocks with the source, so
+    materializing it must copy them before any pass writes."""
+    module = _mixed_module()
+    source = module.get("mixed")
+    clone = clone_module(module, cow=True)
+    clone.mutable_shell("mixed")
+    func = clone.mutable("mixed")
+    for label, block in source.blocks.items():
+        assert func.blocks[label] is not block
+    size = source.size()
+    func.entry.instructions.pop(0)
+    assert source.size() == size
+    assert clone.mutable("mixed") is func
+
+
+def _shared_count_matches(module):
+    shared = [name for name in module.functions if module.is_cow_shared(name)]
+    assert module.cow_shared_count() == len(shared)
+    return shared
+
+
+def test_cow_bookkeeping_records_owned_functions_and_shells():
+    module = _mixed_module()
+    for name in ("spare", "dead", "dead_owned", "dead_shell"):
+        module.add_function(build_leaf(name))
+    module.register_syscall("sys_spare", "spare")
+    clone = clone_module(module, cow=True)
+    assert _shared_count_matches(clone) == list(module.functions)
+
+    clone.mutable("mixed")
+    clone.mutable("dead_owned")
+    clone.mutable_shell("leaf")
+    clone.mutable_shell("dead_shell")
+    added = clone.add_function(build_leaf("added"))
+    states = {
+        name: (clone.is_cow_shared(name), clone.shares_blocks(name))
+        for name in clone.functions
+    }
+    assert states == {
+        "leaf": (False, True),
+        "mixed": (False, False),
+        "spare": (True, True),
+        "dead": (True, True),
+        "dead_owned": (False, False),
+        "dead_shell": (False, True),
+        "added": (False, False),
+    }
+    assert _shared_count_matches(clone) == ["spare", "dead"]
+    # an added function is owned: mutable hands back the same object
+    assert clone.mutable("added") is added
+
+    report = DeadFunctionElimination().run(clone)
+    assert report.removed_functions == 4
+    assert sorted(clone.functions) == ["leaf", "mixed", "spare"]
+    for name in ("dead", "dead_owned", "dead_shell", "added"):
+        assert not clone.is_cow_shared(name)
+        assert not clone.shares_blocks(name)
+    assert _shared_count_matches(clone) == ["spare"]
+    # a removed name comes back owned
+    clone.add_function(build_leaf("dead_shell"))
+    assert not clone.shares_blocks("dead_shell")
+    assert _shared_count_matches(clone) == ["spare"]
+
+    # modules that own every function share nothing
+    for owned in (module, clone_module(module)):
+        assert owned.cow_shared_count() == 0
+        assert not any(owned.shares_blocks(name) for name in owned.functions)
+
+
+def _call_positions(func):
+    return {
+        inst.site_id: (label, idx)
+        for label, block in func.blocks.items()
+        for idx, inst in enumerate(block.instructions)
+        if inst.site_id is not None
+    }
+
+
+def test_inline_reports_moved_call_sites():
+    """``moved_sites`` places every call the splice added or moved; every
+    other call keeps its position, so an index repaired from it alone
+    equals a full rescan."""
+    module = _mixed_module()
+    caller = Function("caller")
+    b = IRBuilder(caller)
+    b.call("leaf")
+    b.arith(1)
+    call = b.call("mixed")
+    b.arith(1)
+    tail = [b.call("leaf"), b.icall({"leaf": 1})]
+    b.ret()
+    module.add_function(caller)
+
+    before = _call_positions(caller)
+    result = inline_call(caller, "entry", 2, module.get("mixed"))
+    validate_module(module)
+    clones = {
+        clone.site_id
+        for copies in result.new_call_sites.values()
+        for clone in copies
+    }
+    assert len(clones) == 2
+    assert set(result.moved_sites) == clones | {i.site_id for i in tail}
+    del before[call.site_id]
+    before.update(result.moved_sites)
+    assert before == _call_positions(caller)
