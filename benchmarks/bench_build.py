@@ -8,7 +8,8 @@ at the repo root (track them against the record history):
   which run ICP + inlining once per distinct optimization prefix and
   stamp each defense onto a copy-on-write clone. Timed against an empty
   cache and again against the populated cache, which must serve every
-  prefix from disk.
+  prefix from disk (a replay of its decision trace). Records the cache's
+  per-kind disk usage and the mean bytes per ``prefix`` entry.
 - ``prefix_delta_ladder``: the budget ladder the delta engine exists for
   — one profile, many budgets in the fine-grained tuning regime, each
   derived from the shared decision basis by re-transforming only touched
@@ -100,6 +101,7 @@ def run_build_bench(fast: bool) -> Dict[str, Any]:
     warm = None
     warm_pipeline = None
     warm_cache = None
+    usage = None
     for _ in range(REPS):
         with tempfile.TemporaryDirectory(prefix="bench-build-") as tmp:
             cache = DiskCache(Path(tmp))
@@ -112,6 +114,7 @@ def run_build_bench(fast: bool) -> Dict[str, Any]:
             warm_pipeline = PibePipeline(kernel, cache=warm_cache)
             t = _sweep(warm_pipeline, configs, profile)
             warm = t if warm is None else min(warm, t)
+            usage = warm_cache.disk_usage()
 
     # The warm sweep must be served from the persisted prefixes: disk
     # hits on the "prefix" kind, zero prefix rebuilds.
@@ -130,6 +133,10 @@ def run_build_bench(fast: bool) -> Dict[str, Any]:
         "staged_warm_seconds": round(warm, 4),
         "pipeline_stats": dict(warm_pipeline.stats),
         "prefix_cache": prefix_stats,
+        "disk_usage": usage,
+        "prefix_entry_bytes": round(
+            usage["prefix"]["bytes"] / usage["prefix"]["entries"]
+        ),
     }
     return record
 

@@ -14,11 +14,11 @@ the profile, and the optimization facets of the config (budgets,
 thresholds, jump-table legality), not on which defenses get stamped on
 top. That shared **optimized prefix** is built once per distinct
 :class:`PrefixKey`, memoized in memory and (when the pipeline has a
-:class:`~repro.evaluation.cache.DiskCache`) persisted to disk via the
-exact IR codec, and every variant at the same budget is produced by
-stamping the hardening pass onto a copy-on-write clone of the cached
-prefix. A defense sweep at one budget runs ICP + inlining once instead
-of once per defense combination.
+:class:`~repro.evaluation.cache.DiskCache`) persisted to disk as the
+:class:`PrefixTrace` of decisions that built it, and every variant at the
+same budget is produced by stamping the hardening pass onto a
+copy-on-write clone of the cached prefix. A defense sweep at one budget
+runs ICP + inlining once instead of once per defense combination.
 
 Every prefix is built **incrementally** (paper Section 4's "one profile,
 many budgets" workflow) as a copy-on-write delta of a shared *decision
@@ -35,9 +35,9 @@ reference pass run would, so prefixes are bit-identical to
 ``build_variant(validate=True)``, which runs every pass through the
 :class:`~repro.passes.manager.PassManager` from a fresh baseline clone
 (pinned by the differential, property and golden-fingerprint tests). On
-disk, prefixes persist as a header plus content-addressed function-group
-chunks, so warm loads decode each shared group once per process no
-matter how many budget entries reference it.
+disk, a prefix is its decisions plus the ids its build started minting
+from; a disk hit applies them to the memoized basis through the same
+build path, so it rebuilds the writer's module exactly in any process.
 """
 
 from __future__ import annotations
@@ -48,25 +48,20 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.config import PibeConfig
-from repro.hardening.harden import HardenReport, HardeningPass
+from repro.hardening.harden import HardeningPass
 from repro.ir.clone import (
     clone_function_exact,
     clone_module,
     inline_serial_checkpoint,
+    inline_serial_scope,
 )
 from repro.ir.fingerprint import module_fingerprint
 from repro.ir.function import Function
-from repro.ir.instruction import reserve_site_ids, site_id_checkpoint
+from repro.ir.instruction import site_id_checkpoint, site_id_scope
 from repro.ir.module import Module
-from repro.ir.serialize import (
-    functions_from_chunk,
-    functions_to_chunk,
-    module_from_header,
-    module_header_to_dict,
-)
 from repro.ir.validate import (
     ValidationError,
     validate_function,
@@ -74,13 +69,15 @@ from repro.ir.validate import (
 )
 from repro.passes.decisions import (
     FunctionSeed,
+    InlinePlan,
+    InlineStep,
     VirtualSpace,
     seed_function,
 )
 from repro.passes.default_inliner import DefaultInliner, DefaultInlineReport
-from repro.passes.icp import ICPReport, IndirectCallPromotion, PromotionRecord
+from repro.passes.icp import ICPPlan, IndirectCallPromotion, PromotionDecision
 from repro.passes.inliner import InlineReport, PibeInliner
-from repro.passes.jumptables import LowerSwitches, SwitchLoweringReport
+from repro.passes.jumptables import LowerSwitches
 from repro.passes.lto import (
     DCEReport,
     DeadFunctionElimination,
@@ -96,12 +93,8 @@ from repro.workloads.base import Workload, profile_workload
 
 #: Bump to invalidate persisted prefix entries when pass behaviour changes.
 #: v2: chunked header + content-addressed function-group layout.
-PREFIX_CACHE_VERSION = "prefix-v2"
-
-#: Functions per persisted prefix chunk. Windows are carved over the
-#: *sorted baseline* namespace so adjacent budgets emit identical chunks
-#: for every window no decision touched (content-addressed dedup).
-PREFIX_CHUNK_SIZE = 64
+#: v3: the decision trace (:class:`PrefixTrace`), replayed on the basis.
+PREFIX_CACHE_VERSION = "prefix-v3"
 
 
 def _function_call_targets(func: Function) -> Tuple[str, ...]:
@@ -120,19 +113,6 @@ def _function_call_targets(func: Function) -> Tuple[str, ...]:
     return tuple(targets)
 
 
-def _module_dict_sha(module_dict: Dict[str, Any]) -> str:
-    """Content hash of a serialized module dict.
-
-    Computed over the plain ``json.dumps`` text (no ``sort_keys`` — see
-    :mod:`repro.ir.serialize` on order sensitivity), which round-trips
-    byte-identically through ``json.load``, so the hash taken before
-    :meth:`DiskCache.put` and the one recomputed on the loaded payload
-    agree exactly when the entry is intact.
-    """
-    text = json.dumps(module_dict)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 @contextlib.contextmanager
 def deterministic_build_ids():
     """Snapshot/restore every global id the build engine mints (call-site
@@ -147,6 +127,27 @@ def deterministic_build_ids():
     """
     with site_id_checkpoint(), inline_serial_checkpoint():
         yield
+
+
+@contextlib.contextmanager
+def build_id_scope(
+    starts: Optional[Tuple[int, int]] = None,
+) -> Iterator[Tuple[int, int]]:
+    """Mint a block's call-site ids and inline label serials from
+    ``starts`` (``None``: where both allocators stand) and yield the
+    starts used; on exit each allocator stands at the larger of its
+    value before and after the block.
+
+    A prefix build records the starts it ran from in its
+    :class:`PrefixTrace`, and a replay runs from them, so both mint the
+    same ids: allocation is a pure function of the start. Both values
+    are needed: the inline plan names call sites that ICP minted.
+    """
+    site_start, serial_start = starts if starts is not None else (None, None)
+    with site_id_scope(site_start) as site, inline_serial_scope(
+        serial_start
+    ) as serial:
+        yield site, serial
 
 
 @dataclass
@@ -205,9 +206,9 @@ class PrefixEntry:
 
     ``module`` is treated as immutable once cached: variants are stamped
     on copy-on-write clones of it, never on the entry itself. It is
-    validated once, when built (or, for disk entries, implied by the
-    fingerprint matching a validated build) — stamped variants skip
-    re-validation because hardening only annotates instructions.
+    validated once, when built or replayed from its disk trace (both
+    run the same build path) — stamped variants skip re-validation
+    because hardening only annotates instructions.
     """
 
     module: Module
@@ -293,29 +294,48 @@ class _DecisionBasis:
         return cached
 
 
-# -- pass-report (de)serialization ------------------------------------------------
+# -- the decision trace ----------------------------------------------------------
 #
-# Prefix entries persist their pass reports next to the module so a
-# disk-warm build returns the same BuildResult.reports a cold one does.
-# Reports are flat dataclasses; the one nested structure (ICP's promotion
-# records) is rebuilt explicitly.
+# A persisted prefix is the trace of the build that made it: the two
+# plans, as positional rows (``dataclasses.asdict`` deep-copies every
+# step and encodes far slower), and the inliner's report. Every other
+# report comes out of the replay. The sha covers the whole trace; a
+# decoded trace is type-checked field by field, so what reaches the
+# replay is what a build recorded.
+
+
+@dataclass
+class PrefixTrace:
+    """What one prefix build decided, and where it minted ids from.
+
+    ``starts`` are the site-id allocator and inline serial the build
+    started from (:func:`build_id_scope`); ``icp`` and ``inline`` are
+    ICP's and the inliner's plans (``None`` for a pass the key skips).
+    Applied to the build's decision basis from those starts, the trace
+    rebuilds the prefix exactly, in any process
+    (:meth:`PibePipeline._build_prefix`).
+    """
+
+    starts: Tuple[int, int]
+    icp: Optional[ICPPlan] = None
+    inline: Optional[InlinePlan] = None
+
 
 _REPORT_CLASSES = {
-    cls.__name__: cls
-    for cls in (
-        SwitchLoweringReport,
-        ICPReport,
-        InlineReport,
-        DefaultInlineReport,
-        SimplifyCFGReport,
-        DCEReport,
-        HardenReport,
-    )
+    cls.__name__: cls for cls in (InlineReport, DefaultInlineReport)
 }
 
 
+def _checked(value: Any, *types: type) -> Any:
+    """``value`` if its exact type is one of ``types`` (so a bool is no
+    int), else ``TypeError``."""
+    if type(value) not in types:
+        raise TypeError(f"trace value {value!r} is not {types}")
+    return value
+
+
 def encode_report(report: Any) -> Dict[str, Any]:
-    """Render one pass report as JSON-encodable data."""
+    """Render an inliner report as JSON-encodable data."""
     cls_name = type(report).__name__
     if cls_name not in _REPORT_CLASSES:
         raise TypeError(f"unknown report type {cls_name}")
@@ -323,21 +343,106 @@ def encode_report(report: Any) -> Dict[str, Any]:
 
 
 def decode_report(payload: Dict[str, Any]) -> Any:
-    """Inverse of :func:`encode_report`."""
-    cls = _REPORT_CLASSES[payload["__report__"]]
-    data = dict(payload["data"])
-    if cls is ICPReport:
-        data["records"] = [
-            PromotionRecord(
-                site_id=r["site_id"],
-                caller=r["caller"],
-                targets=tuple(r["targets"]),
-                promoted_weight=r["promoted_weight"],
-                site_weight=r["site_weight"],
-            )
-            for r in data.get("records", ())
-        ]
-    return cls(**data)
+    """Inverse of :func:`encode_report`. An inliner report holds numbers
+    and one name -> count dict; any other value raises ``TypeError``."""
+    report = _REPORT_CLASSES[payload["__report__"]](**payload["data"])
+    for value in vars(report).values():
+        if type(value) is dict:
+            for name, count in value.items():
+                _checked(name, str)
+                _checked(count, int)
+        else:
+            _checked(value, int, float)
+    return report
+
+
+def trace_sha(data: Any) -> str:
+    """Content hash of an encoded trace. Plain ``json.dumps`` text of
+    this data round-trips byte-identically through ``json.load``, so the
+    sha taken when writing and the one recomputed on reading agree
+    exactly when the entry is intact."""
+    return hashlib.sha256(json.dumps(data).encode("utf-8")).hexdigest()
+
+
+def encode_trace(trace: PrefixTrace) -> Dict[str, Any]:
+    """The ``prefix`` disk payload of ``trace``: its rows and their sha."""
+    icp, inline = trace.icp, trace.inline
+    data: Dict[str, Any] = {
+        "starts": trace.starts, "icp": None, "inline": None
+    }
+    if icp is not None:
+        data["icp"] = (
+            icp.budget,
+            icp.total_weight,
+            icp.total_sites,
+            icp.total_targets,
+            [(d.site_id, d.caller, d.targets) for d in icp.decisions],
+        )
+    if inline is not None:
+        data["inline"] = (
+            [
+                (s.caller, s.vid, s.callee, s.weight, s.invocations,
+                 s.ratio, s.clones)
+                for s in inline.steps
+            ],
+            encode_report(inline.report),
+        )
+    return {"trace": data, "sha": trace_sha(data)}
+
+
+def decode_trace(payload: Dict[str, Any]) -> PrefixTrace:
+    """Inverse of :func:`encode_trace`. Raises ``ValueError`` on a sha
+    mismatch or a row of the wrong length, ``KeyError`` on a missing
+    field and ``TypeError`` on a value of the wrong type."""
+    data = payload["trace"]
+    if trace_sha(data) != payload["sha"]:
+        raise ValueError("prefix trace hash mismatch")
+    site_start, serial_start = data["starts"]
+    trace = PrefixTrace(
+        (_checked(site_start, int), _checked(serial_start, int))
+    )
+    if data["icp"] is not None:
+        budget, weight, sites, targets, decisions = data["icp"]
+        trace.icp = ICPPlan(
+            budget=_checked(budget, float, int),
+            total_weight=_checked(weight, int),
+            total_sites=_checked(sites, int),
+            total_targets=_checked(targets, int),
+            decisions=[
+                PromotionDecision(
+                    site_id=_checked(site_id, int),
+                    caller=_checked(caller, str),
+                    targets=[
+                        (_checked(target, str), _checked(count, int))
+                        for target, count in promoted
+                    ],
+                )
+                for site_id, caller, promoted in decisions
+            ],
+        )
+    if data["inline"] is not None:
+        steps, report = data["inline"]
+        trace.inline = InlinePlan(
+            steps=[
+                InlineStep(
+                    caller=_checked(caller, str),
+                    vid=_checked(vid, int),
+                    callee=_checked(callee, str),
+                    weight=_checked(weight, int),
+                    invocations=_checked(invocations, int),
+                    ratio=_checked(ratio, float, type(None)),
+                    clones=[
+                        (_checked(clone, int), _checked(source, int))
+                        for clone, source in clones
+                    ],
+                )
+                for (
+                    caller, vid, callee, weight, invocations, ratio, clones
+                ) in steps
+            ],
+            report=decode_report(report),
+        )
+    return trace
 
 
 class PibePipeline:
@@ -356,10 +461,10 @@ class PibePipeline:
         functions).
     cache:
         Optional :class:`~repro.evaluation.cache.DiskCache`; when given,
-        optimized prefixes persist under the ``"prefix"`` kind (header)
-        and ``"prefix-chunk"`` kind (content-addressed function groups)
-        so other processes (parallel evaluation workers, later runs)
-        skip the ICP + inlining work entirely.
+        each prefix persists its :class:`PrefixTrace` under the
+        ``"prefix"`` kind, so other processes (parallel evaluation
+        workers, later runs) replay its decisions on their own basis
+        instead of planning ICP and inlining again.
     """
 
     def __init__(
@@ -374,32 +479,9 @@ class PibePipeline:
         self._prefix_memo: Dict[Any, PrefixEntry] = {}
         self._basis_memo: Dict[Tuple[str, bool], _DecisionBasis] = {}
         #: basis of unoptimized prefixes, for both jump-table settings:
-        #: they lower switches on their own clone, so the functions
-        #: lowering rewrites are prefix-owned and persist outside the
-        #: shared baseline-name chunk windows.
+        #: they lower switches on their own clone, so one basis shares
+        #: its DCE and validation caches across both settings.
         self._baseline_basis = _DecisionBasis(baseline, None)
-        #: decoded prefix chunks by content sha — shared across entries so
-        #: a warm budget ladder decodes each untouched group once.
-        self._chunk_memo: Dict[str, Tuple[Dict[str, Function], int]] = {}
-        # The two prefix serialization memos hold windows of COW-shared
-        # functions only: a delta ladder shares its untouched windows as
-        # the very same objects, so each serializes once per process.
-        # Both key on id(). That is safe because every entry describes
-        # objects owned by the baseline or a basis (its module or a
-        # simplified clone), which the pipeline keeps for its whole
-        # life; a change that drops a basis must drop those entries with
-        # it. Prefix-owned functions belong to one entry, which no later
-        # persist reads, so they are never memoized (or kept alive).
-        #: serialized-chunk shas keyed by the window's names and
-        #: function-object identities
-        self._chunk_sha_memo: Dict[
-            Tuple[Tuple[str, ...], Tuple[int, ...]], str
-        ] = {}
-        #: per-function serialized dicts by object identity, shared
-        #: across chunk groupings (two budgets that carve the same
-        #: function into different windows still serialize it once).
-        self._func_dict_memo: Dict[int, Dict[str, Any]] = {}
-        self._baseline_windows_memo: Optional[List[List[str]]] = None
         #: build-engine counters (surfaced by benchmarks and ``repro
         #: cache stats``)
         self.stats: Dict[str, int] = {
@@ -410,8 +492,6 @@ class PibePipeline:
             "prefix_memory_hits": 0,
             "prefix_disk_hits": 0,
             "prefix_decode_failures": 0,
-            "prefix_chunks_decoded": 0,
-            "prefix_chunks_reused": 0,
         }
 
     def baseline_fingerprint(self) -> str:
@@ -429,9 +509,10 @@ class PibePipeline:
         ``stats`` endpoint and its tests can compare rendered JSON.
         """
         by_source: Dict[str, int] = {}
-        # Delta prefixes (and chunk-sharing disk loads) share most
-        # Function objects across entries; count unique objects, not
-        # per-entry sums, so the figure reflects actual residency.
+        # Delta prefixes, built or replayed from disk, share most
+        # Function objects with their basis and each other; count unique
+        # objects, not per-entry sums, so the figure reflects actual
+        # residency.
         unique_functions: set = set()
         for entry in self._prefix_memo.values():
             by_source[entry.source] = by_source.get(entry.source, 0) + 1
@@ -587,7 +668,8 @@ class PibePipeline:
         self, config: PibeConfig, profile: Optional[EdgeProfile]
     ) -> PrefixEntry:
         """The shared pre-hardening module for ``config``'s optimization
-        facets: from the in-memory memo, else the disk cache, else built."""
+        facets: from the in-memory memo, else replayed from its trace in
+        the disk cache, else built (and its trace persisted)."""
         if not config.optimized:
             profile = None  # unoptimized prefixes never read the profile
         memo_key, disk_key = self._prefix_keys(config, profile)
@@ -596,27 +678,28 @@ class PibePipeline:
             self.stats["prefix_memory_hits"] += 1
             return entry
 
+        trace = None
         if disk_key is not None:
             payload = self.cache.get("prefix", disk_key)
             if payload is not None:
-                entry = self._prefix_from_payload(payload, disk_key)
-                if entry is not None:
-                    self.stats["prefix_disk_hits"] += 1
-                    self._prefix_memo[memo_key] = entry
-                    return entry
+                trace = self._trace_from_payload(payload, disk_key)
 
-        entry = self._build_prefix(profile, memo_key[1])
-        self.stats["prefix_builds"] += 1
+        entry, built = self._build_prefix(profile, memo_key[1], trace)
         self._prefix_memo[memo_key] = entry
-        if disk_key is not None:
-            self._persist_prefix(disk_key, entry)
+        if trace is not None:
+            self.stats["prefix_disk_hits"] += 1
+        else:
+            self.stats["prefix_builds"] += 1
+            if disk_key is not None:
+                self.cache.put("prefix", disk_key, encode_trace(built))
         return entry
 
     def warm_prefix(
         self, config: PibeConfig, profile: Optional[EdgeProfile]
     ) -> None:
-        """Build (or load) and persist the optimized prefix for ``config``
-        without stamping a variant — the parallel-prewarm entry point."""
+        """Build (or replay) and persist the optimized prefix for
+        ``config`` without stamping a variant — the parallel-prewarm
+        entry point."""
         if not config.optimized:
             return
         self._optimized_prefix(config, profile)
@@ -655,20 +738,30 @@ class PibePipeline:
         return basis
 
     def _build_prefix(
-        self, profile: Optional[EdgeProfile], key: PrefixKey
-    ) -> PrefixEntry:
+        self,
+        profile: Optional[EdgeProfile],
+        key: PrefixKey,
+        trace: Optional[PrefixTrace] = None,
+    ) -> Tuple[PrefixEntry, PrefixTrace]:
         """Decision/apply build of one prefix from its shared basis,
-        transforming only functions the decisions touch.
+        transforming only functions the decisions touch; returns the
+        entry and the trace that rebuilds it.
 
         The pass sequence (and the reports dict's insertion order) mirrors
         the reference pass run exactly: lower, ICP, inliner, SimplifyCFG,
         DCE — the middle three only for optimized keys (``profile`` set).
-        Decisions are planned against seeds / a :class:`VirtualSpace` (no
-        IR mutation), then replayed onto a COW clone of the basis in
-        decided order, so id minting matches the reference run step for
-        step.
+        Without ``trace``, decisions are planned against seeds / a
+        :class:`VirtualSpace` (no IR mutation) and recorded, with the ids
+        the build starts minting from, in a new trace. With one (a disk
+        hit), planning is skipped and the recorded plans are applied from
+        the recorded starts. Either way the plans are replayed onto a COW
+        clone of the basis in decided order, so id minting matches the
+        reference run step for step, and a replay matches the build that
+        recorded it.
         """
-        self.stats["prefix_delta_builds"] += 1
+        planning = trace is None
+        if planning:
+            self.stats["prefix_delta_builds"] += 1
         if profile is None:
             basis = self._baseline_basis
             module = clone_module(basis.module, cow=True)
@@ -679,49 +772,57 @@ class PibePipeline:
             module = clone_module(basis.module, cow=True)
             reports = {LowerSwitches.name: copy.deepcopy(basis.lower_report)}
 
-        # Unoptimized keys carry no budgets: no ICP, no inlining.
-        icp_touched: set = set()
-        if key.icp_budget is not None:
-            icp = IndirectCallPromotion(budget=key.icp_budget)
-            icp_plan = icp.plan(
-                module, candidates=basis.icp_candidates(icp)
-            )
-            reports[IndirectCallPromotion.name] = icp.apply_plan(
-                module, icp_plan, icalls_before=basis.icalls_before()
-            )
-            icp_touched = {
-                name
-                for name in module.functions
-                if not module.is_cow_shared(name)
-            }
+        # ICP and inlining are the steps that mint ids; lowering,
+        # SimplifyCFG, DCE and validation mint none.
+        with build_id_scope(None if planning else trace.starts) as starts:
+            if planning:
+                trace = PrefixTrace(starts)
 
-        if key.inline_budget is not None:
-
-            def seed_for(name: str) -> FunctionSeed:
-                # ICP rewrote these callers, so their basis seeds are
-                # stale; everything else is byte-for-byte basis state.
-                if name in icp_touched:
-                    return seed_function(module.functions[name])
-                return basis.seed(name)
-
-            space = VirtualSpace(list(module.functions), seed_for)
-            if key.use_default_inliner:
-                default_inliner = DefaultInliner(profile=profile)
-                inline_plan = default_inliner.plan(module, space)
-                reports[DefaultInliner.name] = default_inliner.apply_plan(
-                    module, inline_plan
+            # Unoptimized keys carry no budgets: no ICP, no inlining.
+            if key.icp_budget is not None:
+                icp = IndirectCallPromotion(budget=key.icp_budget)
+                if planning:
+                    trace.icp = icp.plan(
+                        module, candidates=basis.icp_candidates(icp)
+                    )
+                reports[icp.name] = icp.apply_plan(
+                    module, trace.icp, icalls_before=basis.icalls_before()
                 )
-            else:
-                inliner = PibeInliner(
-                    profile,
-                    budget=key.inline_budget,
-                    caller_threshold=key.caller_threshold,
-                    callee_threshold=key.callee_threshold,
-                    lax_heuristics=key.lax_heuristics,
-                )
-                inline_plan = inliner.plan(space)
-                reports[PibeInliner.name] = inliner.apply_plan(
-                    module, inline_plan
+
+            if key.inline_budget is not None:
+                if key.use_default_inliner:
+                    inliner: ModulePass = DefaultInliner(profile=profile)
+                else:
+                    inliner = PibeInliner(
+                        profile,
+                        budget=key.inline_budget,
+                        caller_threshold=key.caller_threshold,
+                        callee_threshold=key.callee_threshold,
+                        lax_heuristics=key.lax_heuristics,
+                    )
+                if planning:
+                    # ICP rewrote the callers it materialized, so their
+                    # basis seeds are stale; everything else is
+                    # byte-for-byte basis state.
+                    icp_touched = {
+                        name
+                        for name in module.functions
+                        if not module.is_cow_shared(name)
+                    }
+
+                    def seed_for(name: str) -> FunctionSeed:
+                        if name in icp_touched:
+                            return seed_function(module.functions[name])
+                        return basis.seed(name)
+
+                    space = VirtualSpace(list(module.functions), seed_for)
+                    trace.inline = (
+                        inliner.plan(module, space)
+                        if key.use_default_inliner
+                        else inliner.plan(space)
+                    )
+                reports[inliner.name] = inliner.apply_plan(
+                    module, trace.inline
                 )
 
         # SimplifyCFG (optimized keys only, like the reference path):
@@ -766,7 +867,12 @@ class PibePipeline:
         )
         if errors:
             raise ValidationError(errors)
-        return PrefixEntry(module=module, reports=reports, source="built")
+        entry = PrefixEntry(
+            module=module,
+            reports=reports,
+            source="built" if planning else "disk",
+        )
+        return entry, trace
 
     def _dce_incremental(
         self, module: Module, basis: _DecisionBasis
@@ -810,165 +916,20 @@ class PibePipeline:
                 report.removed_functions += 1
         return report
 
-    # -- chunked prefix persistence ---------------------------------------------
+    # -- prefix persistence ---------------------------------------------------
 
-    def _baseline_windows(self) -> List[List[str]]:
-        """Sorted-baseline-name windows of :data:`PREFIX_CHUNK_SIZE`.
-
-        Every prefix's functions are a subset of the baseline's, so
-        carving groups from this fixed partition makes two budgets' chunks
-        identical for every window neither touched.
-        """
-        if self._baseline_windows_memo is None:
-            names = sorted(self.baseline.functions)
-            self._baseline_windows_memo = [
-                names[i : i + PREFIX_CHUNK_SIZE]
-                for i in range(0, len(names), PREFIX_CHUNK_SIZE)
-            ]
-        return self._baseline_windows_memo
-
-    def _prefix_groups(self, module: Module) -> List[List[str]]:
-        shared = {
-            name
-            for name in module.functions
-            if module.is_cow_shared(name)
-        }
-        groups: List[List[str]] = []
-        for window in self._baseline_windows():
-            names = [n for n in window if n in shared]
-            if names:
-                groups.append(names)
-        owned = sorted(n for n in module.functions if n not in shared)
-        for i in range(0, len(owned), PREFIX_CHUNK_SIZE):
-            groups.append(owned[i : i + PREFIX_CHUNK_SIZE])
-        return groups
-
-    @staticmethod
-    def _chunk_key(sha: str) -> str:
-        from repro.evaluation.cache import cache_key
-
-        return cache_key("prefix-chunk", PREFIX_CACHE_VERSION, sha)
-
-    def _persist_chunk(self, chunk: Dict[str, Any]) -> str:
-        """Write one chunk payload under its content address, unless it
-        is already on disk, and return its sha."""
-        text = json.dumps(chunk)
-        sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        chunk_key = self._chunk_key(sha)
-        if not self.cache.has("prefix-chunk", chunk_key):
-            self.cache.put("prefix-chunk", chunk_key, chunk, text=text)
-        return sha
-
-    def _persist_prefix(self, disk_key: str, entry: PrefixEntry) -> None:
-        """Write ``entry`` as a header plus content-addressed chunks.
-
-        Chunks are keyed by the sha of their serialized payload, so a
-        group shared between two budget entries is stored once; ``has``
-        skips the disk write for groups already on disk from this or any
-        other process. Windows of COW-shared functions serialize through
-        the pipeline's memos; owned windows serialize unmemoized.
-        """
-        module = entry.module
-        try:
-            header = module_header_to_dict(module)
-            groups: List[Dict[str, Any]] = []
-            for names in self._prefix_groups(module):
-                funcs = [module.functions[n] for n in names]
-                # _prefix_groups never mixes shared and owned names.
-                if module.is_cow_shared(names[0]):
-                    memo_key = (tuple(names), tuple(map(id, funcs)))
-                    sha = self._chunk_sha_memo.get(memo_key)
-                    if sha is None:
-                        sha = self._persist_chunk(
-                            functions_to_chunk(
-                                funcs, dict_memo=self._func_dict_memo
-                            )
-                        )
-                        self._chunk_sha_memo[memo_key] = sha
-                else:
-                    sha = self._persist_chunk(functions_to_chunk(funcs))
-                groups.append({"names": names, "sha": sha})
-            self.cache.put(
-                "prefix",
-                disk_key,
-                {
-                    "header": header,
-                    "groups": groups,
-                    # Covers everything the loader trusts structurally;
-                    # each chunk's integrity rides on its content address.
-                    "payload_sha": _module_dict_sha(
-                        {"header": header, "groups": groups}
-                    ),
-                    "reports": {
-                        name: encode_report(report)
-                        for name, report in entry.reports.items()
-                    },
-                },
-            )
-        except TypeError:
-            # Unencodable metadata or report: keep the entry memory-only
-            # rather than persisting a lossy payload.
-            pass
-
-    def _prefix_from_payload(
+    def _trace_from_payload(
         self, payload: Dict[str, Any], disk_key: str
-    ) -> Optional[PrefixEntry]:
-        """Deserialize a persisted prefix; ``None`` (treated as a miss) on
-        any structural problem or content-hash mismatch — the corrupt
-        entry is quarantined and counted in ``prefix_decode_failures``.
-
-        Integrity is checked by re-hashing serialized dicts
-        (``json.load``/``json.dumps`` round-trip identically for codec
-        output) rather than recomputing the module fingerprint of the
-        decoded IR — the fingerprint walk costs more than the decode
-        itself and would tax every warm load. Chunks decode once per
-        process: a budget ladder's entries share both the decoded
-        Function objects and the decode work for every common group.
-        """
+    ) -> Optional[PrefixTrace]:
+        """The trace a ``prefix`` entry holds; ``None`` (treated as a
+        miss) on a sha mismatch, a missing field or a value of the wrong
+        type — the corrupt entry is quarantined and counted in
+        ``prefix_decode_failures``, and the prefix is rebuilt. A trace
+        that passes is replayed as is: a replay that raises on it is a
+        bug, not corruption."""
         try:
-            header = payload["header"]
-            groups = payload["groups"]
-            sealed = _module_dict_sha({"header": header, "groups": groups})
-            if sealed != payload["payload_sha"]:
-                raise ValueError("prefix payload hash mismatch")
-            functions: Dict[str, Function] = {}
-            max_site = 0
-            for group in groups:
-                sha = group["sha"]
-                cached = self._chunk_memo.get(sha)
-                if cached is None:
-                    chunk_key = self._chunk_key(sha)
-                    chunk = self.cache.get("prefix-chunk", chunk_key)
-                    if chunk is None:
-                        raise ValueError(
-                            f"prefix chunk {sha[:12]} missing"
-                        )
-                    if _module_dict_sha(chunk) != sha:
-                        self.cache.quarantine_entry(
-                            "prefix-chunk", chunk_key
-                        )
-                        raise ValueError(
-                            f"prefix chunk {sha[:12]} hash mismatch"
-                        )
-                    cached = functions_from_chunk(chunk)
-                    self._chunk_memo[sha] = cached
-                    self.stats["prefix_chunks_decoded"] += 1
-                else:
-                    self.stats["prefix_chunks_reused"] += 1
-                chunk_functions, chunk_max = cached
-                for name in group["names"]:
-                    functions[name] = chunk_functions[name]
-                if chunk_max > max_site:
-                    max_site = chunk_max
-            module = module_from_header(header, functions)
-            reserve_site_ids(max_site)
-            reports = {
-                name: decode_report(report)
-                for name, report in payload["reports"].items()
-            }
+            return decode_trace(payload)
         except (KeyError, TypeError, ValueError):
             self.stats["prefix_decode_failures"] += 1
-            if self.cache is not None:
-                self.cache.quarantine_entry("prefix", disk_key)
+            self.cache.quarantine_entry("prefix", disk_key)
             return None
-        return PrefixEntry(module=module, reports=reports, source="disk")

@@ -115,9 +115,8 @@ class DiskCache:
     def has(self, kind: str, key: str) -> bool:
         """Whether an entry exists on disk, without reading it.
 
-        Used by content-addressed writers (prefix chunks) to skip
-        re-serializing payloads another entry already stored. Does not
-        touch the hit/miss counters — it is not a lookup.
+        Used by prewarm planning to find the prefixes already on disk.
+        Does not touch the hit/miss counters — it is not a lookup.
         """
         return self._path(kind, key).is_file()
 
@@ -126,7 +125,7 @@ class DiskCache:
 
         :meth:`get` only catches entries that fail to parse as JSON;
         callers that validate content hashes or decode structured payloads
-        (the prefix codec) report semantic corruption here so the bad
+        (prefix traces) report semantic corruption here so the bad
         entry is moved aside and counted exactly like a parse failure.
         Returns whether an entry existed to quarantine.
         """
@@ -164,25 +163,13 @@ class DiskCache:
         self._bump(kind, "hits")
         return payload
 
-    def put(
-        self,
-        kind: str,
-        key: str,
-        payload: Dict[str, Any],
-        text: Optional[str] = None,
-    ) -> None:
-        """Store ``payload`` atomically (temp file + rename).
-
-        ``text`` optionally supplies the payload's ``json.dumps``
-        rendering when the caller already produced it (content-addressed
-        writers hash the text first), skipping a second encode.
-        """
+    def put(self, kind: str, key: str, payload: Dict[str, Any]) -> None:
+        """Store ``payload`` atomically (temp file + rename)."""
         path = self._path(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         # Preserve payload key order: measurement dicts keep benchmark
         # order, so warm runs render identically to cold.
-        if text is None:
-            text = json.dumps(payload)
+        text = json.dumps(payload)
         spec = faults.fire("cache.put", kind)
         if spec is not None:
             if spec.mode == "truncate":

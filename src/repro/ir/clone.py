@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
-from typing import Dict, Iterator, List, NamedTuple, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
@@ -33,7 +33,8 @@ from repro.ir.types import (
 #: Serial for the `inl{N}.` label prefix of spliced callee blocks. A plain
 #: int (not itertools.count) so :func:`inline_serial_checkpoint` can save
 #: and restore it — differential staged-vs-reference builds need both
-#: builds to mint identical labels.
+#: builds to mint identical labels — and :func:`inline_serial_scope` can
+#: start a replayed build where its recorded build started.
 _inline_serial = 0
 
 
@@ -54,6 +55,22 @@ def inline_serial_checkpoint() -> Iterator[int]:
         yield saved
     finally:
         _inline_serial = saved
+
+
+@contextlib.contextmanager
+def inline_serial_scope(start: Optional[int] = None) -> Iterator[int]:
+    """Mint the block's inline label serials from ``start + 1`` and
+    yield ``start`` (``None``: where the serial stands), leaving the
+    serial at the larger of its value before and after the block, the
+    label counterpart of :func:`repro.ir.instruction.site_id_scope`."""
+    global _inline_serial
+    before = _inline_serial
+    if start is not None:
+        _inline_serial = start
+    try:
+        yield _inline_serial
+    finally:
+        _inline_serial = max(before, _inline_serial)
 
 
 def record_inlined_promotion(module: Module, inst: Instruction) -> None:

@@ -17,7 +17,8 @@ from repro.ir.types import CALLS, INDIRECT_BRANCHES, TERMINATORS, Opcode
 
 #: Highest site id handed out (or reserved) so far; the next fresh id is
 #: always ``_max_issued + 1``, so allocation is a pure function of this
-#: single integer — which is what makes :func:`site_id_checkpoint` sound.
+#: single integer — which is what makes :func:`site_id_checkpoint` and
+#: :func:`site_id_scope` sound.
 _max_issued = 0
 
 
@@ -62,6 +63,28 @@ def site_id_checkpoint() -> Iterator[int]:
         yield saved
     finally:
         _max_issued = saved
+
+
+@contextlib.contextmanager
+def site_id_scope(start: Optional[int] = None) -> Iterator[int]:
+    """Mint the block's fresh site ids from ``start + 1`` and yield
+    ``start`` (``None``: where the allocator stands).
+
+    Allocation is a pure function of the start, so a build that records
+    its start mints the same ids again when it runs from that start in
+    any process. On exit, also by an exception, the allocator stands at
+    the larger of its value before and after the block: ids minted
+    later are fresh to both. Inside the block a start below the
+    allocator re-issues ids, with :func:`site_id_checkpoint`'s caveat.
+    """
+    global _max_issued
+    before = _max_issued
+    if start is not None:
+        _max_issued = start
+    try:
+        yield _max_issued
+    finally:
+        _max_issued = max(before, _max_issued)
 
 
 class Instruction:

@@ -174,7 +174,7 @@ def test_disk_warm_prefix_is_bit_identical(
 
     assert module_fingerprint(warm.module) == module_fingerprint(cold.module)
     assert format_module(warm.module) == format_module(cold.module)
-    # reports survive the codec round trip
+    # the replay rebuilds the reports, the persisted inliner report too
     assert json.dumps(cold.reports, default=repr, sort_keys=True) == json.dumps(
         warm.reports, default=repr, sort_keys=True
     )
@@ -190,17 +190,17 @@ def test_tampered_prefix_payload_is_rebuilt(
 
     (entry,) = (tmp_path / "prefix").glob("*.json")
     payload = json.loads(entry.read_text())
-    payload["header"]["function_order"].reverse()  # payload_sha now stale
+    payload["trace"]["inline"][0].reverse()  # the trace's sha is now stale
     entry.write_text(json.dumps(payload))
 
     warm_pipeline = PibePipeline(small_kernel, cache=cache)
     warm = _build(warm_pipeline, config, small_profile)
     # content hash mismatch -> treated as a miss, prefix rebuilt; the
-    # corrupt header is quarantined and counted, like any corrupt entry
+    # corrupt trace is quarantined and counted, like any corrupt entry
     assert warm_pipeline.stats["prefix_disk_hits"] == 0
     assert warm_pipeline.stats["prefix_builds"] == 1
     assert warm_pipeline.stats["prefix_decode_failures"] == 1
-    # the tampered header was moved aside (the slot now holds the rebuild)
+    # the tampered trace was moved aside (the slot now holds the rebuild)
     assert (cache.quarantine_dir() / f"prefix-{entry.stem}.json").exists()
     assert module_fingerprint(warm.module) == module_fingerprint(cold.module)
 

@@ -36,7 +36,7 @@ def test_warm_context_renders_every_experiment_from_cells(tmp_path, monkeypatch)
     """Every experiment renders from persisted cells. A second context on
     the filled cache, given the first one's kernel as a later process
     builds the same kernel, renders every table byte for byte without
-    building a variant, stamping defenses, decoding a prefix chunk or
+    building a variant, stamping defenses, replaying a prefix trace or
     constructing an interpreter. After one census entry and the Table 1
     entry are overwritten with ``{}``, a third context quarantines and
     recomputes exactly those two."""
@@ -94,13 +94,13 @@ def test_warm_context_renders_every_experiment_from_cells(tmp_path, monkeypatch)
             work = dict(
                 counts,
                 builds=stats["staged_builds"] + stats["reference_builds"],
-                chunks=stats["prefix_chunks_decoded"],
+                replays=stats["prefix_disk_hits"],
             )
         return run_ctx, rendered, work
 
     cold, rendered, work = evaluate()
-    # A cold run builds its prefixes in memory: it decodes no chunk.
-    assert work.pop("chunks") == 0
+    # A cold run builds its prefixes in memory: it replays no trace.
+    assert work.pop("replays") == 0
     assert all(work.values()), work
     # Each distinct cell runs once: Table 7's 3 apps x (LTO + 4 defenses
     # x unoptimized/PIBE), Table 12's 12 distinct modules.
