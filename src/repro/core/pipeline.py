@@ -38,6 +38,11 @@ reference pass run would, so prefixes are bit-identical to
 disk, a prefix is its decisions plus the ids its build started minting
 from; a disk hit applies them to the memoized basis through the same
 build path, so it rebuilds the writer's module exactly in any process.
+
+Memory is bounded: at most :data:`RESIDENT_PREFIXES` prefixes stay
+resident, each owning the variants stamped on it. An evicted prefix is
+rebuilt the same way, from its disk trace or, without a cache, from the
+encoded trace the pipeline keeps in memory.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -95,6 +101,13 @@ from repro.workloads.base import Workload, profile_workload
 #: v2: chunked header + content-addressed function-group layout.
 #: v3: the decision trace (:class:`PrefixTrace`), replayed on the basis.
 PREFIX_CACHE_VERSION = "prefix-v3"
+
+#: Prefix entries a pipeline keeps in memory. Past it the least recently
+#: used entry is evicted, with the variants stamped on it, and a later
+#: request replays its trace. Every in-tree batch run fits: 17 prefixes in
+#: ``full_evaluation.py``, 13 and 25 per replica in the fast and default
+#: sweep grids. A server that keeps meeting fresh budgets evicts.
+RESIDENT_PREFIXES = 32
 
 
 def _function_call_targets(func: Function) -> Tuple[str, ...]:
@@ -202,19 +215,23 @@ class PrefixKey:
 
 @dataclass
 class PrefixEntry:
-    """One cached optimized prefix.
+    """One cached optimized prefix and the variants stamped on it.
 
     ``module`` is treated as immutable once cached: variants are stamped
     on copy-on-write clones of it, never on the entry itself. It is
-    validated once, when built or replayed from its disk trace (both
-    run the same build path) — stamped variants skip re-validation
-    because hardening only annotates instructions.
+    validated once, when built or replayed from its trace (both run the
+    same build path) — stamped variants skip re-validation because
+    hardening only annotates instructions. ``variants`` holds the builds
+    :meth:`PibePipeline.variant` memoizes, by config: the entry owns
+    them, so they leave memory with it.
     """
 
     module: Module
     reports: Dict[str, Any]
-    #: provenance of this entry: "built" | "memory" | "disk"
+    #: provenance of this entry: "built", or replayed from its trace on
+    #: "disk" or in "memory" (an evicted prefix of a cache-less pipeline)
     source: str = "built"
+    variants: Dict[PibeConfig, BuildResult] = field(default_factory=dict)
 
 
 class _DecisionBasis:
@@ -464,7 +481,12 @@ class PibePipeline:
         each prefix persists its :class:`PrefixTrace` under the
         ``"prefix"`` kind, so other processes (parallel evaluation
         workers, later runs) replay its decisions on their own basis
-        instead of planning ICP and inlining again.
+        instead of planning ICP and inlining again. Without one, the
+        pipeline keeps each trace's encoded text in memory instead.
+
+    At most :data:`RESIDENT_PREFIXES` prefix entries stay in memory; an
+    evicted one, requested again, is replayed from its trace, so it and
+    the variants stamped on it are bit-identical to the first build.
     """
 
     def __init__(
@@ -476,7 +498,11 @@ class PibePipeline:
         self.baseline = baseline
         self.cache = cache
         self._baseline_fp: Optional[str] = None
-        self._prefix_memo: Dict[Any, PrefixEntry] = {}
+        #: resident prefixes, least recently used first
+        self._prefix_memo: "OrderedDict[Any, PrefixEntry]" = OrderedDict()
+        #: memo key -> the encoded trace (the JSON a disk entry would
+        #: hold) of every prefix a cache-less pipeline built
+        self._traces: Dict[Any, str] = {}
         self._basis_memo: Dict[Tuple[str, bool], _DecisionBasis] = {}
         #: basis of unoptimized prefixes, for both jump-table settings:
         #: they lower switches on their own clone, so one basis shares
@@ -491,7 +517,9 @@ class PibePipeline:
             "prefix_delta_builds": 0,
             "prefix_memory_hits": 0,
             "prefix_disk_hits": 0,
+            "prefix_memory_replays": 0,
             "prefix_decode_failures": 0,
+            "prefix_evictions": 0,
         }
 
     def baseline_fingerprint(self) -> str:
@@ -506,21 +534,31 @@ class PibePipeline:
         """Snapshot of the in-memory prefix cache for stats surfaces.
 
         Deterministically ordered (sorted keys throughout) so the serve
-        ``stats`` endpoint and its tests can compare rendered JSON.
+        ``stats`` endpoint and its tests can compare rendered JSON. The
+        serve ``stats`` op calls this on its event-loop thread while the
+        eval thread inserts entries and variants, so both dicts are
+        copied with ``list()`` before a loop walks them: a C call that
+        runs no bytecode, so no other thread runs in the middle of it.
         """
         by_source: Dict[str, int] = {}
-        # Delta prefixes, built or replayed from disk, share most
-        # Function objects with their basis and each other; count unique
-        # objects, not per-entry sums, so the figure reflects actual
-        # residency.
+        variants = 0
+        # Delta prefixes, built or replayed, share most Function objects
+        # with their basis and each other, and a variant shares all but
+        # its stamped functions with its prefix; count unique objects,
+        # not per-entry sums, so the figure reflects actual residency.
         unique_functions: set = set()
-        for entry in self._prefix_memo.values():
+        entries = list(self._prefix_memo.values())
+        for entry in entries:
             by_source[entry.source] = by_source.get(entry.source, 0) + 1
-            unique_functions.update(
-                id(func) for func in entry.module.functions.values()
-            )
+            builds = list(entry.variants.values())
+            variants += len(builds)
+            for module in [entry.module] + [b.module for b in builds]:
+                unique_functions.update(map(id, module.functions.values()))
         return {
-            "entries": len(self._prefix_memo),
+            "entries": len(entries),
+            "bound": RESIDENT_PREFIXES,
+            "evictions": self.stats["prefix_evictions"],
+            "variants": variants,
             "by_source": {k: by_source[k] for k in sorted(by_source)},
             "resident_functions": len(unique_functions),
             "counters": {k: self.stats[k] for k in sorted(self.stats)},
@@ -573,6 +611,7 @@ class PibePipeline:
         also takes the reference path and additionally runs the full
         static-analysis rule set at every pass boundary, raising on
         error-severity findings. Both paths produce bit-identical output.
+        Every call returns a fresh build; :meth:`variant` memoizes one.
         """
         if config.optimized and profile is None:
             raise ValueError(
@@ -623,6 +662,32 @@ class PibePipeline:
             validate_module(module)
         return BuildResult(config=config, module=module, reports=reports)
 
+    def variant(
+        self,
+        config: PibeConfig,
+        profile: Optional[EdgeProfile],
+        build: bool = True,
+    ) -> Optional[BuildResult]:
+        """``config``'s staged variant, memoized on its prefix entry.
+
+        The entry owns the build, so it leaves memory when the entry is
+        evicted; requested again, it is stamped again on the replayed
+        prefix, bit-identical to the first. While resident, every call
+        returns the same object and counts in no stat; a miss is a
+        :meth:`build_variant`. With ``build=False`` the call is a
+        lookup: ``None`` unless the variant is resident.
+        """
+        memo_key = self._memo_key(config, profile)
+        entry = self._prefix_memo.get(memo_key)
+        result = None if entry is None else entry.variants.get(config)
+        if result is not None:
+            self._prefix_memo.move_to_end(memo_key)
+        elif build:
+            result = self.build_variant(config, profile)
+            # The stamp just used the entry, so it is the newest.
+            self._prefix_memo[memo_key].variants[config] = result
+        return result
+
     # -- staged engine ---------------------------------------------------------
 
     def _build_staged(
@@ -645,19 +710,26 @@ class PibePipeline:
         reports.update(harden_reports)
         return BuildResult(config=config, module=module, reports=reports)
 
+    @staticmethod
+    def _memo_key(
+        config: PibeConfig, profile: Optional[EdgeProfile]
+    ) -> Tuple[Optional[str], PrefixKey]:
+        """The memo key of ``config``'s prefix: the digest of the profile
+        it is built from (``None`` for an unoptimized config, which never
+        reads one) and its :class:`PrefixKey`."""
+        optimized = profile is not None and config.optimized
+        digest = profile.digest() if optimized else None
+        return digest, PrefixKey.from_config(config)
+
     def _prefix_keys(
         self, config: PibeConfig, profile: Optional[EdgeProfile]
     ) -> Tuple[Tuple[Optional[str], PrefixKey], Optional[str]]:
-        """The memo key of ``config``'s prefix — the digest of the profile
-        it is built from (``None`` for an unoptimized config, which never
-        reads one) and its :class:`PrefixKey` — and its disk key
-        (``None`` without a cache)."""
+        """The memo key of ``config``'s prefix and its disk key (``None``
+        without a cache)."""
         # Imported here: repro.evaluation imports this module.
         from repro.evaluation.cache import cache_key
 
-        optimized = profile is not None and config.optimized
-        digest = profile.digest() if optimized else None
-        memo_key = (digest, PrefixKey.from_config(config))
+        memo_key = self._memo_key(config, profile)
         if self.cache is None:
             return memo_key, None
         return memo_key, cache_key(
@@ -668,14 +740,18 @@ class PibePipeline:
         self, config: PibeConfig, profile: Optional[EdgeProfile]
     ) -> PrefixEntry:
         """The shared pre-hardening module for ``config``'s optimization
-        facets: from the in-memory memo, else replayed from its trace in
-        the disk cache, else built (and its trace persisted)."""
+        facets: from the in-memory memo, else replayed from its trace (in
+        the disk cache, or kept in memory by a cache-less pipeline), else
+        built (and its trace kept). The entry becomes the most recently
+        used; past :data:`RESIDENT_PREFIXES` the least recently used one
+        is evicted with its variants."""
         if not config.optimized:
             profile = None  # unoptimized prefixes never read the profile
         memo_key, disk_key = self._prefix_keys(config, profile)
         entry = self._prefix_memo.get(memo_key)
         if entry is not None:
             self.stats["prefix_memory_hits"] += 1
+            self._prefix_memo.move_to_end(memo_key)
             return entry
 
         trace = None
@@ -683,15 +759,28 @@ class PibePipeline:
             payload = self.cache.get("prefix", disk_key)
             if payload is not None:
                 trace = self._trace_from_payload(payload, disk_key)
+        elif memo_key in self._traces:
+            trace = decode_trace(json.loads(self._traces[memo_key]))
 
         entry, built = self._build_prefix(profile, memo_key[1], trace)
-        self._prefix_memo[memo_key] = entry
-        if trace is not None:
+        if trace is None:
+            self.stats["prefix_builds"] += 1
+        elif disk_key is not None:
+            entry.source = "disk"
             self.stats["prefix_disk_hits"] += 1
         else:
-            self.stats["prefix_builds"] += 1
+            entry.source = "memory"
+            self.stats["prefix_memory_replays"] += 1
+        self._prefix_memo[memo_key] = entry
+        while len(self._prefix_memo) > RESIDENT_PREFIXES:
+            self._prefix_memo.popitem(last=False)
+            self.stats["prefix_evictions"] += 1
+        if trace is None:
+            encoded = encode_trace(built)
             if disk_key is not None:
-                self.cache.put("prefix", disk_key, encode_trace(built))
+                self.cache.put("prefix", disk_key, encoded)
+            else:
+                self._traces[memo_key] = json.dumps(encoded)
         return entry
 
     def warm_prefix(
@@ -752,12 +841,12 @@ class PibePipeline:
         DCE — the middle three only for optimized keys (``profile`` set).
         Without ``trace``, decisions are planned against seeds / a
         :class:`VirtualSpace` (no IR mutation) and recorded, with the ids
-        the build starts minting from, in a new trace. With one (a disk
-        hit), planning is skipped and the recorded plans are applied from
-        the recorded starts. Either way the plans are replayed onto a COW
-        clone of the basis in decided order, so id minting matches the
-        reference run step for step, and a replay matches the build that
-        recorded it.
+        the build starts minting from, in a new trace. With one (a replay
+        from disk or memory), planning is skipped and the recorded plans
+        are applied from the recorded starts. Either way the plans are
+        replayed onto a COW clone of the basis in decided order, so id
+        minting matches the reference run step for step, and a replay
+        matches the build that recorded it.
         """
         planning = trace is None
         if planning:
@@ -867,12 +956,7 @@ class PibePipeline:
         )
         if errors:
             raise ValidationError(errors)
-        entry = PrefixEntry(
-            module=module,
-            reports=reports,
-            source="built" if planning else "disk",
-        )
-        return entry, trace
+        return PrefixEntry(module=module, reports=reports), trace
 
     def _dce_incremental(
         self, module: Module, basis: _DecisionBasis

@@ -2,9 +2,11 @@
 caching, so the per-table generators share one kernel, one profiling run
 and one measurement per configuration.
 
-Every cell (profile, variant, lint, measurement, a variant's static
-census, Table 1's defense costs) is read through one memo and one path,
-``EvalContext._cell``; two accelerators sit on it:
+Every cell (profile, lint, measurement, a variant's static census,
+Table 1's defense costs) is read through one memo and one path,
+``EvalContext._cell``; built variants live on their prefix entries in
+the pipeline, which bounds them (:meth:`EvalContext.variant`). Two
+accelerators sit on the memo:
 
 - **Disk cache** (``EvalSettings.cache_dir``): profiles, measurements,
   censuses and defense costs persist under ``.repro-cache/`` keyed by
@@ -245,7 +247,8 @@ class EvalSettings:
 
 
 class EvalContext:
-    """Caches the kernel, profiles, built variants and measurements."""
+    """Caches the kernel, profiles and measurements; its pipeline holds
+    the built variants."""
 
     def __init__(
         self,
@@ -272,7 +275,8 @@ class EvalContext:
         self.pipeline = PibePipeline(self.kernel, cache=self.cache)
         # The one memo of every cell, keyed by (kind,) + the cell's key:
         # cell_key() for a config's cells, so two configs that differ in
-        # any field never share an entry.
+        # any field never share an entry. It holds results only; built
+        # variants stay with their prefixes in the pipeline.
         self._memo: Dict[Tuple, Any] = {}
         # Persistent worker pool: created on the first parallel
         # measure_many and reused by every later call (the serve layer
@@ -406,14 +410,16 @@ class EvalContext:
     def variant(
         self, config: PibeConfig, workload_name: str = "lmbench"
     ) -> BuildResult:
-        # Not persisted here: the pipeline's prefix cache is its disk.
-        return self._cell(
-            ("variant",) + cell_key(config, workload_name),
-            lambda: self.pipeline.build_variant(
-                config,
-                self.profile(workload_name) if config.optimized else None,
-            ),
-        )
+        """``config``'s variant trained on ``workload_name``, memoized on
+        its prefix entry (:meth:`PibePipeline.variant`): the same object
+        while the entry is resident, a bit-identical rebuild after it
+        was evicted. A closed context returns a resident variant and
+        builds none."""
+        profile = self.profile(workload_name) if config.optimized else None
+        build = self.pipeline.variant(config, profile, build=not self._closed)
+        if build is None:
+            self._check_open()
+        return build
 
     def security(
         self, config: PibeConfig, workload_name: str = "lmbench"

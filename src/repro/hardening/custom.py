@@ -27,7 +27,12 @@ every indirect transfer::
 ``module`` may be any built variant (``EvalContext.variant(...).module``),
 one that a stock defense set already stamped included: the pass retags
 its branches and copies what it tags, so the prefix and the baseline
-kernel the variant shares IR with stay as they were.
+kernel the variant shares IR with stay as they were. It retags the
+module object the caller holds and nothing else: a memoized variant
+whose prefix the pipeline evicts
+(:data:`~repro.core.pipeline.RESIDENT_PREFIXES`) is stamped again on
+request and carries only its stock defenses, so keep the module for as
+long as its custom tags are needed.
 """
 
 from __future__ import annotations
