@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.hardening.defenses import LVI_SAFE, RSB_SAFE, SPECTRE_V2_SAFE
+from repro.hardening.classes import LVI, RET2SPEC, SPECTRE_V2, defense_classes
 from repro.ir.module import Module
 from repro.ir.types import FunctionAttr, Opcode
 from repro.passes.icp import ICPReport
@@ -134,16 +134,15 @@ def forward_edge_census(module: Module) -> ForwardEdgeCensus:
         boot_only = func.has_attr(FunctionAttr.BOOT_ONLY)
         for inst in func.instructions():
             if inst.opcode == Opcode.ICALL:
-                tag = inst.defense
-                if tag is not None and tag in SPECTRE_V2_SAFE and tag in LVI_SAFE:
+                protects = defense_classes(inst.defense)
+                if SPECTRE_V2 in protects and LVI in protects:
                     census.defended_icalls += 1
                 elif boot_only:
                     continue
                 else:
                     census.vulnerable_icalls += 1
             elif inst.opcode == Opcode.IJUMP:
-                tag = inst.defense
-                if tag is not None and tag in SPECTRE_V2_SAFE:
+                if SPECTRE_V2 in defense_classes(inst.defense):
                     census.defended_ijumps += 1
                 elif boot_only:
                     continue
@@ -163,7 +162,7 @@ def backward_edge_census(module: Module) -> Dict[str, int]:
                 continue
             if boot_only:
                 result["boot_only"] += 1
-            elif inst.defense is not None and inst.defense in RSB_SAFE:
+            elif RET2SPEC in defense_classes(inst.defense):
                 result["protected"] += 1
             else:
                 result["vulnerable"] += 1

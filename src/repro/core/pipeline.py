@@ -465,10 +465,13 @@ def decode_trace(payload: Dict[str, Any]) -> PrefixTrace:
 class PibePipeline:
     """Profile-then-optimize driver over a linked baseline module.
 
-    The baseline module is never mutated: every variant is built on a deep
-    copy, so one profile feeds arbitrarily many configurations (the
-    evaluation sweeps budgets and defense combinations from a single
-    profiling run, like the paper's workflow scripts).
+    The baseline module is never mutated: a staged variant is a
+    copy-on-write clone of its prefix, and only the reference path
+    (``build_variant(validate=True)`` or ``verify_each=True``) starts
+    from a deep copy of the baseline. So one profile feeds arbitrarily
+    many configurations (the evaluation sweeps budgets and defense
+    combinations from a single profiling run, like the paper's workflow
+    scripts).
 
     Parameters
     ----------

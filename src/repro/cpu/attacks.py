@@ -16,7 +16,9 @@ Three adversaries, one per microarchitectural vector:
 
 Each attack exposes a static census (``hijackable_sites``) used by the
 security evaluation, and a dynamic ``attempt`` that walks the predictor
-models end-to-end for demos and tests.
+models end-to-end for demos and tests. Whether a lowering stops a vector
+is read from :func:`repro.hardening.classes.defense_classes`, the table
+the Table 11 census and the speculation lint read too.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import List, Optional, Tuple
 from repro.cpu.btb import BTB
 from repro.cpu.mob import MOB
 from repro.cpu.rsb import RSB
-from repro.hardening.defenses import LVI_SAFE, RSB_SAFE, SPECTRE_V2_SAFE
+from repro.hardening.classes import LVI, RET2SPEC, SPECTRE_V2, defense_classes
 from repro.ir.instruction import Instruction
 from repro.ir.module import Module
 from repro.ir.types import FunctionAttr, Opcode
@@ -52,7 +54,6 @@ class TransientAttack:
     """Shared census machinery."""
 
     vector = "abstract"
-    safe_tags = frozenset()
     victim_opcodes = frozenset()
 
     def _boot_exempt(self, func) -> bool:
@@ -72,21 +73,13 @@ class TransientAttack:
     def is_vulnerable(self, inst: Instruction) -> bool:
         if inst.opcode not in self.victim_opcodes:
             return False
-        tag = inst.defense
-        if tag is None:
-            return True
-        if tag in self.safe_tags:
-            return False
-        from repro.hardening.custom import custom_tag_protects
-
-        return not custom_tag_protects(tag, self.vector)
+        return self.vector not in defense_classes(inst.defense)
 
 
 class SpectreV2Attack(TransientAttack):
     """BTB poisoning against indirect calls and jumps."""
 
-    vector = "spectre_v2"
-    safe_tags = SPECTRE_V2_SAFE
+    vector = SPECTRE_V2
     victim_opcodes = frozenset({Opcode.ICALL, Opcode.IJUMP})
 
     def attempt(
@@ -121,8 +114,7 @@ class SpectreV2Attack(TransientAttack):
 class Ret2specAttack(TransientAttack):
     """RSB poisoning against return instructions."""
 
-    vector = "ret2spec"
-    safe_tags = RSB_SAFE
+    vector = RET2SPEC
     victim_opcodes = frozenset({Opcode.RET})
 
     def attempt(
@@ -166,8 +158,7 @@ class Ret2specAttack(TransientAttack):
 class LVIAttack(TransientAttack):
     """Load Value Injection against indirect-branch target loads."""
 
-    vector = "lvi"
-    safe_tags = LVI_SAFE
+    vector = LVI
     victim_opcodes = frozenset({Opcode.ICALL, Opcode.RET, Opcode.IJUMP})
 
     def attempt(

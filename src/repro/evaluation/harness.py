@@ -127,10 +127,13 @@ class Census:
 
 #: Bump when a census record would count differently for the same
 #: variant: what :func:`census_of` reads, i.e. the forward-edge policy
-#: (which defense tags count as Spectre-V2/LVI safe, the boot-only
-#: exemption), the text and slab size model of
+#: (the classes a *stock* tag protects in
+#: :func:`repro.hardening.classes.defense_classes`, the per-edge rules
+#: and the boot-only exemption), the text and slab size model of
 #: :mod:`repro.analysis.sizes` and the lowering units it sums. Census
-#: disk keys carry it.
+#: disk keys carry it. What a custom defense's tag protects does not
+#: warrant a bump: every census cell is keyed by a stock config and
+#: counted on that config's variant, which carries stock tags only.
 CENSUS_VERSION = 1
 
 

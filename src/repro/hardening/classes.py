@@ -1,29 +1,28 @@
-"""Data-driven speculation-defense protection classes.
+"""The one table of what a defense tag protects.
 
-The speculation-coverage rule used to hard-code the mapping from defense
-tags to the protection classes of the paper's taxonomy (``SPECTRE_V2_SAFE``
-/ ``RSB_SAFE`` / ``LVI_SAFE`` frozensets consulted through an if/elif
-ladder).  That made every new hardening backend — FineIBT, PAC-based
-kernel CFI — a rule edit.  This module turns the table into a registry
-keyed by defense tag:
+A defense tag on an indirect branch closes some of the paper's three
+transient attack vectors. :func:`defense_classes` is the only place that
+says which:
 
-- the stock :class:`~repro.hardening.defenses.Defense` tags are seeded
-  from the same frozensets, so checker and lowering cannot drift;
-- a new backend calls :func:`register_defense_classes` with the attack
-  vectors its tag closes, and the speculation rule accepts the tag as an
-  alternative lowering wherever it covers every class the config
-  promises — no rule edit required;
-- :func:`registry_snapshot` is stable, canonical key material for the
-  incremental-lint cache (a registry change must invalidate cached
-  speculation diagnostics).
+- a stock :class:`~repro.hardening.defenses.Defense` tag provides the
+  classes seeded from the lowering's own ``SPECTRE_V2_SAFE`` /
+  ``RSB_SAFE`` / ``LVI_SAFE`` frozensets, so checker and lowering cannot
+  drift;
+- a registered :class:`~repro.hardening.custom.CustomDefense` tag
+  provides its ``protects`` (a FineIBT- or PAC-style backend is one such
+  registration);
+- an untagged branch or an unknown tag provides nothing.
 
-Class names intentionally match the ``protects`` vocabulary of
-:mod:`repro.hardening.custom` (``spectre_v2`` / ``ret2spec`` / ``lvi``).
+The Table 11 census (:mod:`repro.analysis.gadgets`), the attack models
+(:mod:`repro.cpu.attacks`) and the speculation-coverage lint
+(:mod:`repro.static.rules.speculation`) all read this lookup, so the
+security numbers and the lint share one definition. The vector names
+below are the only vocabulary for these classes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.hardening.defenses import (
     LVI_SAFE,
@@ -56,57 +55,21 @@ def _seed_builtin() -> Dict[str, FrozenSet[str]]:
 
 #: Stock tag -> protection classes, derived from the defense frozensets.
 _BUILTIN: Dict[str, FrozenSet[str]] = _seed_builtin()
-#: Backend extension tags registered at runtime.
-_EXTRA: Dict[str, FrozenSet[str]] = {}
 
 
-def register_defense_classes(tag: str, protects: Iterable[str]) -> None:
-    """Register (or update) an extension defense tag's protection classes.
+def defense_classes(tag: Optional[str]) -> FrozenSet[str]:
+    """Protection classes ``tag`` provides (empty for ``None`` and for
+    unknown tags)."""
+    if tag is None:
+        return frozenset()
+    stock = _BUILTIN.get(tag)
+    if stock is not None:
+        return stock
+    # Imported here: the custom registry validates against this module.
+    from repro.hardening.custom import registered_defense
 
-    Stock tags are immutable — their classes come from the lowering's own
-    frozensets and re-mapping them would let checker and code drift.
-    """
-    if tag in _BUILTIN:
-        raise ValueError(f"stock defense tag {tag!r} cannot be re-mapped")
-    protects = frozenset(protects)
-    unknown = protects - KNOWN_CLASSES
-    if unknown:
-        raise ValueError(
-            f"unknown protection class(es) {sorted(unknown)} for tag "
-            f"{tag!r}; known: {sorted(KNOWN_CLASSES)}"
-        )
-    _EXTRA[tag] = protects
-
-
-def unregister_defense_classes(tag: str) -> None:
-    """Remove an extension tag (stock tags cannot be removed)."""
-    _EXTRA.pop(tag, None)
-
-
-def clear_extension_classes() -> None:
-    """Drop every runtime-registered extension tag (test hygiene)."""
-    _EXTRA.clear()
-
-
-def is_class_registered(tag: str) -> bool:
-    """Whether ``tag`` appears in the registry (stock or extension)."""
-    return tag in _BUILTIN or tag in _EXTRA
-
-
-def defense_classes(tag: str) -> FrozenSet[str]:
-    """Protection classes ``tag`` provides (empty for unknown tags)."""
-    if tag in _EXTRA:
-        return _EXTRA[tag]
-    return _BUILTIN.get(tag, frozenset())
-
-
-def tags_for_class(cls: str) -> FrozenSet[str]:
-    """Every registered tag that protects ``cls``."""
-    return frozenset(
-        tag
-        for tag, protects in {**_BUILTIN, **_EXTRA}.items()
-        if cls in protects
-    )
+    custom = registered_defense(tag)
+    return custom.protects if custom is not None else frozenset()
 
 
 def required_classes(opcode: Opcode, config: DefenseConfig) -> List[str]:
@@ -127,12 +90,3 @@ def required_classes(opcode: Opcode, config: DefenseConfig) -> List[str]:
         if config.lvi_cfi:
             required.append(LVI)
     return required
-
-
-def registry_snapshot() -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
-    """Canonical, sorted (tag, classes) pairs — cache-key material."""
-    merged = {**_BUILTIN, **_EXTRA}
-    return tuple(
-        (tag, tuple(sorted(protects)))
-        for tag, protects in sorted(merged.items())
-    )

@@ -5,7 +5,9 @@ have high overheads" — the paper explicitly suggests precise high-overhead
 research defenses such as path-sensitive CFI. This module is that
 extension point: register a defense with its per-branch cycle cost, static
 expansion and protection properties, and the whole pipeline (hardening,
-timing, size model, attack census) picks it up.
+timing, size model, the Table 11 and attack censuses, the speculation
+lint) picks it up. What a registered tag protects is read through
+:func:`repro.hardening.classes.defense_classes`, the one protection table.
 
 Example — a path-sensitive CFI that checks a hash of the taken path on
 every indirect transfer::
@@ -13,12 +15,12 @@ every indirect transfer::
     pscfi_fwd = CustomDefense(
         name="pscfi_fwd", kind="forward", cycles=35.0,
         site_expansion_units=4,
-        protects={"spectre_v2", "lvi"},
+        protects=frozenset({"spectre_v2", "lvi"}),
     )
     pscfi_ret = CustomDefense(
         name="pscfi_ret", kind="backward", cycles=28.0,
         site_expansion_units=4,
-        protects={"ret2spec", "lvi"},
+        protects=frozenset({"ret2spec", "lvi"}),
     )
     register_defense(pscfi_fwd)
     register_defense(pscfi_ret)
@@ -40,14 +42,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional
 
+from repro.hardening.classes import KNOWN_CLASSES
 from repro.hardening.coverage import CUSTOM_METADATA_KEY
+from repro.hardening.defenses import STOCK_TAGS
 from repro.hardening.harden import HardenReport, tag_branches
 from repro.ir.module import Module
 from repro.passes.manager import ModulePass
-
-#: Attack vectors a defense can protect against (must match
-#: :data:`repro.cpu.attacks.ALL_ATTACKS` vector names).
-KNOWN_VECTORS = frozenset({"spectre_v2", "ret2spec", "lvi"})
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,14 @@ class CustomDefense:
     cycles: float
     #: static lowered-instruction growth per protected site
     site_expansion_units: int = 0
-    #: attack vectors this lowering defeats
+    #: attack vectors this lowering defeats, from
+    #: :data:`repro.hardening.classes.KNOWN_CLASSES`
     protects: FrozenSet[str] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
         if self.kind not in ("forward", "backward"):
             raise ValueError(f"kind must be forward/backward, got {self.kind!r}")
-        unknown = set(self.protects) - KNOWN_VECTORS
+        unknown = set(self.protects) - KNOWN_CLASSES
         if unknown:
             raise ValueError(f"unknown attack vectors: {sorted(unknown)}")
         if self.cycles < 0:
@@ -79,7 +80,15 @@ _REGISTRY: Dict[str, CustomDefense] = {}
 
 
 def register_defense(defense: CustomDefense) -> CustomDefense:
-    """Add a defense to the global registry (idempotent per name+spec)."""
+    """Add a defense to the global registry (idempotent per name+spec).
+
+    A stock tag's name is refused: the cost model, the protection table
+    and the lint would all read the stock lowering under it.
+    """
+    if defense.name in STOCK_TAGS:
+        raise ValueError(
+            f"stock defense tag {defense.name!r} cannot be re-mapped"
+        )
     existing = _REGISTRY.get(defense.name)
     if existing is not None and existing != defense:
         raise ValueError(
@@ -110,12 +119,6 @@ def custom_expansion_units(tag: str) -> Optional[int]:
     """Static expansion units of a registered custom defense tag."""
     defense = _REGISTRY.get(tag)
     return defense.site_expansion_units if defense is not None else None
-
-
-def custom_tag_protects(tag: str, vector: str) -> bool:
-    """Whether a registered custom tag defeats the given attack vector."""
-    defense = _REGISTRY.get(tag)
-    return defense is not None and vector in defense.protects
 
 
 class CustomHardeningPass(ModulePass):

@@ -47,6 +47,8 @@ class NonTransientDefense(enum.Enum):
     SAFESTACK = "safestack"
 
 
+#: Every stock defense tag.
+STOCK_TAGS = frozenset(d.value for d in Defense)
 #: Tags that protect a forward edge against BTB poisoning (Spectre V2).
 SPECTRE_V2_SAFE = frozenset(
     {Defense.RETPOLINE.value, Defense.FENCED_RETPOLINE.value}

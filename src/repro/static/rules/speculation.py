@@ -11,20 +11,20 @@ a tag there would claim protection the lowering cannot actually emit.
 
 Eligibility comes from :mod:`repro.hardening.coverage` — the same
 predicates the hardening passes use, so checker and transformation
-cannot drift.  The tag → protection-class table is *data*, not code:
-:mod:`repro.hardening.classes` seeds it from the stock defense
-frozensets and lets new backends (FineIBT, PAC) register their tags at
-runtime; a registered extension tag is accepted in place of the stock
-tag wherever it covers every class the config promises.  Registered
-custom defenses (:mod:`repro.hardening.custom`) are accepted in place
-of the stock tag on modules a custom pass has processed.
+cannot drift.  What a tag protects comes from
+:func:`repro.hardening.classes.defense_classes`, the one table the
+Table 11 census and the attack models read too.  A registered custom
+defense (:mod:`repro.hardening.custom`) is judged by that table: its tag
+is accepted in place of the stock tag on any branch it can instrument,
+as long as it covers every class the module's stock config promises
+there (PIBE507 otherwise).  On a module no stock config hardened, the
+config promises nothing, so any custom stamp there is clean.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.hardening import classes as defense_classes_registry
 from repro.hardening.classes import defense_classes, required_classes
 from repro.hardening.coverage import (
     applied_config,
@@ -33,13 +33,11 @@ from repro.hardening.coverage import (
     expected_defense,
 )
 from repro.hardening.custom import registered_defense
-from repro.hardening.defenses import Defense
+from repro.hardening.defenses import STOCK_TAGS
 from repro.ir.module import Module
 from repro.ir.types import INDIRECT_BRANCHES, Opcode
 from repro.static.diagnostics import Diagnostic, Severity
 from repro.static.registry import Rule, register
-
-_STOCK_TAGS = frozenset(d.value for d in Defense)
 
 _UNPROTECTED_CODE = {
     Opcode.ICALL: "PIBE501",
@@ -63,7 +61,7 @@ class SpeculationCoverageRule(Rule):
         "PIBE506": "unknown defense tag (not stock, not registered custom)",
         "PIBE507": "promised tag is outside its protection class",
     }
-    version = 2  # tag -> class table moved to repro.hardening.classes
+    version = 3  # custom tags judged by class coverage, one tag table
 
     def check_function(self, func, module: Module, ctx) -> Iterable[Diagnostic]:
         config = applied_config(module)
@@ -80,13 +78,8 @@ class SpeculationCoverageRule(Rule):
                     site_id=inst.site_id,
                 )
                 tag = inst.defense
-                expected = expected_defense(func, inst, config)
 
-                if (
-                    tag is not None
-                    and tag not in _STOCK_TAGS
-                    and not defense_classes_registry.is_class_registered(tag)
-                ):
+                if tag is not None and tag not in STOCK_TAGS:
                     if registered_defense(tag) is None:
                         yield self.diag(
                             "PIBE506",
@@ -103,9 +96,13 @@ class SpeculationCoverageRule(Rule):
                             f"custom defense tag {tag!r}",
                             **loc,
                         )
-                    # custom tag on an eligible branch: accepted
+                    else:
+                        # An alternative lowering: judged by whether it
+                        # covers every class the stock config promises.
+                        yield from self._check_class(inst, tag, config, loc)
                     continue
 
+                expected = expected_defense(func, inst, config)
                 if expected is None:
                     if tag is not None:
                         yield self.diag(
@@ -136,19 +133,7 @@ class SpeculationCoverageRule(Rule):
                     )
                     continue
 
-                required = required_classes(inst.opcode, config)
-
                 if tag != expected.value:
-                    # A registered extension backend (FineIBT/PAC) is an
-                    # acceptable alternative lowering iff its registered
-                    # classes cover everything the config promises here;
-                    # the gaps, if any, are class findings (PIBE507) —
-                    # sharper than a generic wrong-tag error.
-                    if tag not in _STOCK_TAGS:
-                        yield from self._check_class(
-                            inst, tag, required, config, loc
-                        )
-                        continue
                     yield self.diag(
                         "PIBE504",
                         err,
@@ -159,12 +144,12 @@ class SpeculationCoverageRule(Rule):
                     )
                     continue
 
-                yield from self._check_class(inst, tag, required, config, loc)
+                yield from self._check_class(inst, tag, config, loc)
 
     def cache_env(self, module: Module, ctx) -> object:
         # Coverage depends on the module's applied defense config, the
-        # custom-hardening marker, the custom-defense registry, and the
-        # tag -> protection-class table.
+        # custom-hardening marker and the custom-defense registry, which
+        # holds every non-stock tag's classes (stock tags' are fixed).
         from repro.hardening.coverage import CUSTOM_METADATA_KEY, METADATA_KEY
         from repro.hardening.custom import _REGISTRY as custom_registry
 
@@ -175,16 +160,13 @@ class SpeculationCoverageRule(Rule):
                 (name, d.kind, tuple(sorted(d.protects)))
                 for name, d in custom_registry.items()
             ),
-            "classes": defense_classes_registry.registry_snapshot(),
         }
 
-    def _check_class(
-        self, inst, tag, required, config, loc
-    ) -> Iterable[Diagnostic]:
-        """The promised tag must sit in every protection class the
-        config claims for this edge (taxonomy self-consistency)."""
+    def _check_class(self, inst, tag, config, loc) -> Iterable[Diagnostic]:
+        """The tag must sit in every protection class the config claims
+        for this edge (taxonomy self-consistency)."""
         provided = defense_classes(tag)
-        for class_name in required:
+        for class_name in required_classes(inst.opcode, config):
             if class_name not in provided:
                 yield self.diag(
                     "PIBE507",

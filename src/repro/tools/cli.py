@@ -743,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel_args(p)
     p.add_argument(
         "--vector",
-        choices=("all", "spectre_v2", "ret2spec", "lvi"),
+        choices=("all", *(attack.vector for attack in ALL_ATTACKS)),
         default="all",
     )
     p.add_argument("--limit", type=int, default=3, help="attempts to show")

@@ -1,6 +1,6 @@
-"""Defense protection-class registry and its use by the speculation
-rule: extension tags (FineIBT/PAC-style backends) plug in without rule
-edits."""
+"""The protection table and its use by the speculation rule: a custom
+defense (a FineIBT- or PAC-style backend) plugs in by registration, with
+no rule edit."""
 
 from __future__ import annotations
 
@@ -11,14 +11,14 @@ from repro.hardening.classes import (
     LVI,
     RET2SPEC,
     SPECTRE_V2,
-    clear_extension_classes,
     defense_classes,
-    is_class_registered,
-    register_defense_classes,
-    registry_snapshot,
     required_classes,
-    tags_for_class,
-    unregister_defense_classes,
+)
+from repro.hardening.custom import (
+    CustomDefense,
+    CustomHardeningPass,
+    clear_registry,
+    register_defense,
 )
 from repro.hardening.defenses import Defense, DefenseConfig
 from repro.hardening.harden import HardeningPass
@@ -27,15 +27,24 @@ from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.types import Opcode
 from repro.static import analyze_module
+from repro.static.rules.speculation import SpeculationCoverageRule
 
 
 @pytest.fixture(autouse=True)
 def _clean_registry():
     yield
-    clear_extension_classes()
+    clear_registry()
 
 
-# -- registry semantics -------------------------------------------------------
+def _register(name, protects):
+    register_defense(
+        CustomDefense(
+            name, kind="forward", cycles=1.0, protects=frozenset(protects)
+        )
+    )
+
+
+# -- table semantics ----------------------------------------------------------
 
 
 def test_stock_tags_seeded_from_lowering_tables():
@@ -50,23 +59,29 @@ def test_stock_tags_seeded_from_lowering_tables():
 
 def test_stock_tag_cannot_be_remapped():
     with pytest.raises(ValueError, match="stock defense tag"):
-        register_defense_classes(Defense.RETPOLINE.value, {LVI})
+        _register(Defense.RETPOLINE.value, {LVI})
+    # Nor through the pass, which registers what it is given.
+    with pytest.raises(ValueError, match="stock defense tag"):
+        CustomHardeningPass(
+            forward=CustomDefense(
+                Defense.RETPOLINE.value, kind="forward", cycles=1.0
+            )
+        )
+    assert defense_classes(Defense.RETPOLINE.value) == frozenset({SPECTRE_V2})
 
 
 def test_unknown_class_rejected():
-    with pytest.raises(ValueError, match="unknown protection class"):
-        register_defense_classes("fineibt", {"meltdown"})
+    with pytest.raises(ValueError, match="unknown attack vectors"):
+        _register("fineibt", {"meltdown"})
 
 
 def test_register_and_unregister_extension():
-    assert not is_class_registered("fineibt")
-    register_defense_classes("fineibt", {SPECTRE_V2, LVI})
-    assert is_class_registered("fineibt")
-    assert defense_classes("fineibt") == frozenset({SPECTRE_V2, LVI})
-    assert "fineibt" in tags_for_class(SPECTRE_V2)
-    unregister_defense_classes("fineibt")
-    assert not is_class_registered("fineibt")
     assert defense_classes("fineibt") == frozenset()
+    _register("fineibt", {SPECTRE_V2, LVI})
+    assert defense_classes("fineibt") == frozenset({SPECTRE_V2, LVI})
+    clear_registry()
+    assert defense_classes("fineibt") == frozenset()
+    assert defense_classes(None) == frozenset()
 
 
 def test_required_classes_follow_config():
@@ -80,13 +95,16 @@ def test_required_classes_follow_config():
     assert required_classes(Opcode.RET, retp) == []
 
 
-def test_snapshot_is_canonical_and_tracks_registrations():
-    before = registry_snapshot()
-    assert before == tuple(sorted(before))
-    register_defense_classes("pac_cfi", {SPECTRE_V2})
-    after = registry_snapshot()
+def test_cache_env_is_canonical_and_tracks_registrations():
+    rule = SpeculationCoverageRule()
+    module = _hardened_module()
+    _register("pac_cfi_b", {SPECTRE_V2})
+    before = rule.cache_env(module, None)["custom_registry"]
+    _register("pac_cfi_a", {LVI, SPECTRE_V2})
+    after = rule.cache_env(module, None)["custom_registry"]
     assert after != before
-    assert ("pac_cfi", (SPECTRE_V2,)) in after
+    assert after == sorted(after)
+    assert ("pac_cfi_a", "forward", (LVI, SPECTRE_V2)) in after
     assert KNOWN_CLASSES == {SPECTRE_V2, RET2SPEC, LVI}
 
 
@@ -118,7 +136,7 @@ def _errors(module):
 
 
 def test_covering_extension_tag_accepted_as_alternative_lowering():
-    register_defense_classes("fineibt_lvi", {SPECTRE_V2, LVI})
+    _register("fineibt_lvi", {SPECTRE_V2, LVI})
     module = _hardened_module()
     _retag(module, Opcode.ICALL, "fineibt_lvi")
     assert _errors(module) == []
@@ -126,7 +144,7 @@ def test_covering_extension_tag_accepted_as_alternative_lowering():
 
 def test_undercovering_extension_tag_is_pibe507():
     # Protects forward edges but not LVI, while the config demands both.
-    register_defense_classes("fineibt", {SPECTRE_V2})
+    _register("fineibt", {SPECTRE_V2})
     module = _hardened_module()
     _retag(module, Opcode.ICALL, "fineibt")
     codes = _errors(module)
@@ -134,7 +152,7 @@ def test_undercovering_extension_tag_is_pibe507():
 
 
 def test_extension_tag_on_wrong_edge_kind_is_pibe507():
-    register_defense_classes("fineibt", {SPECTRE_V2})
+    _register("fineibt", {SPECTRE_V2})
     module = _hardened_module()
     _retag(module, Opcode.RET, "fineibt")
     codes = _errors(module)
@@ -147,18 +165,30 @@ def test_unregistered_tag_still_pibe506():
     assert "PIBE506" in _errors(module)
 
 
+def test_custom_stamp_on_unhardened_module_promises_nothing():
+    # No stock config ran, so nothing is promised: a forward-only stamp
+    # that leaves LVI open is not a lint finding.
+    module = _hardened_module(DefenseConfig.none())
+    weak = CustomDefense(
+        "fineibt", kind="forward", cycles=1.0, protects=frozenset({SPECTRE_V2})
+    )
+    CustomHardeningPass(forward=weak).run(module)
+    assert _errors(module) == []
+
+
 def test_registry_change_invalidates_lint_cache(tmp_path):
     from repro.evaluation.cache import DiskCache
     from repro.static import lint_module
 
     cache = DiskCache(tmp_path / "cache")
-    register_defense_classes("fineibt_lvi", {SPECTRE_V2, LVI})
+    _register("fineibt_lvi", {SPECTRE_V2, LVI})
     module = _hardened_module()
     _retag(module, Opcode.ICALL, "fineibt_lvi")
     clean = lint_module(module, rules=["speculation-coverage"], cache=cache)
     assert not clean.errors()
     # Shrinking the tag's coverage must invalidate the cached verdict.
-    register_defense_classes("fineibt_lvi", {SPECTRE_V2})
+    clear_registry()
+    _register("fineibt_lvi", {SPECTRE_V2})
     dirty = lint_module(module, rules=["speculation-coverage"], cache=cache)
     assert dirty.stats["cache_misses"] > 0
     assert any(d.code == "PIBE507" for d in dirty.errors())
