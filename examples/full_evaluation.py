@@ -24,11 +24,11 @@ import dataclasses
 import sys
 import time
 
-from repro.engine.compiled import DEFAULT_ENGINE, ENGINES
+from repro.engine.names import DEFAULT_ENGINE, KNOWN_ENGINES
 from repro.evaluation import tables
 from repro.evaluation.cache import CACHE_DIR_NAME
 from repro.evaluation.harness import EvalContext, EvalSettings
-from repro.tools.cli import use_eval_gc_policy
+from repro.tools.gcpolicy import use_eval_gc_policy
 
 
 def main(argv=None):
@@ -46,7 +46,7 @@ def main(argv=None):
     )
     parser.add_argument(
         "--engine",
-        choices=sorted(ENGINES),
+        choices=sorted(KNOWN_ENGINES),
         default=DEFAULT_ENGINE,
         help="execution engine (default: %(default)s)",
     )

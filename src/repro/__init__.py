@@ -21,24 +21,29 @@ See ``examples/`` for complete scenarios and ``benchmarks/`` for the
 harnesses regenerating every table of the paper's evaluation.
 """
 
-from repro.core import (
-    BuildResult,
-    OverheadReport,
-    PibeConfig,
-    PibePipeline,
-    geomean_overhead,
-    overhead,
-)
-from repro.hardening import Defense, DefenseConfig, HardeningPass
-from repro.kernel import DEFAULT_SPEC, KernelSpec, build_kernel, kernel_stats
-from repro.profiling import EdgeProfile, KernelProfiler, lift_profile
-from repro.workloads import (
-    LMBENCH_BENCHMARKS,
-    apachebench_workload,
-    lmbench_workload,
-    measure_benchmark,
-    measure_suite,
-    profile_workload,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".core.config": ("PibeConfig",),
+        ".core.pipeline": ("BuildResult", "PibePipeline"),
+        ".core.report": ("OverheadReport", "geomean_overhead", "overhead"),
+        ".hardening.defenses": ("Defense", "DefenseConfig"),
+        ".hardening.harden": ("HardeningPass",),
+        ".kernel.generator": ("build_kernel", "kernel_stats"),
+        ".kernel.spec": ("DEFAULT_SPEC", "KernelSpec"),
+        ".profiling.lifting": ("lift_profile",),
+        ".profiling.profile_data": ("EdgeProfile",),
+        ".profiling.profiler": ("KernelProfiler",),
+        ".workloads.apachebench": ("apachebench_workload",),
+        ".workloads.base": (
+            "measure_benchmark",
+            "measure_suite",
+            "profile_workload",
+        ),
+        ".workloads.lmbench": ("LMBENCH_BENCHMARKS", "lmbench_workload"),
+    },
 )
 
 __version__ = "1.0.0"

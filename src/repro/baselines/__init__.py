@@ -1,23 +1,27 @@
 """Comparison baselines: JumpSwitches and RSB refilling."""
 
-from repro.baselines.eibrs import (
-    BTBPoisoningOrigin,
-    EIBRS_MATRIX,
-    EIBRSTimingModel,
-    EIBRSVerdict,
-    eibrs_blocks,
-    simulate_eibrs_poisoning,
-)
-from repro.baselines.jumpswitches import (
-    JumpSwitchParams,
-    JumpSwitchTimingModel,
-)
-from repro.baselines.rsb_refill import (
-    REFILL_COST_CYCLES,
-    RSBAttackScenario,
-    SCENARIO_MATRIX,
-    ScenarioOutcome,
-    simulate_refill_scenario,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".eibrs": (
+            "BTBPoisoningOrigin",
+            "EIBRS_MATRIX",
+            "EIBRSTimingModel",
+            "EIBRSVerdict",
+            "eibrs_blocks",
+            "simulate_eibrs_poisoning",
+        ),
+        ".jumpswitches": ("JumpSwitchParams", "JumpSwitchTimingModel"),
+        ".rsb_refill": (
+            "REFILL_COST_CYCLES",
+            "RSBAttackScenario",
+            "SCENARIO_MATRIX",
+            "ScenarioOutcome",
+            "simulate_refill_scenario",
+        ),
+    },
 )
 
 __all__ = [

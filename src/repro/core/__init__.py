@@ -1,15 +1,22 @@
 """PIBE's public driver API."""
 
-from repro.core.config import PibeConfig
-from repro.core.pipeline import BuildResult, PibePipeline
-from repro.core.report import (
-    OverheadReport,
-    OverheadRow,
-    build_overhead_report,
-    format_percent,
-    geomean_overhead,
-    geomean_ratio,
-    overhead,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".config": ("PibeConfig",),
+        ".pipeline": ("BuildResult", "PibePipeline"),
+        ".report": (
+            "OverheadReport",
+            "OverheadRow",
+            "build_overhead_report",
+            "format_percent",
+            "geomean_overhead",
+            "geomean_ratio",
+            "overhead",
+        ),
+    },
 )
 
 __all__ = [

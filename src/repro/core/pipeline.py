@@ -54,7 +54,7 @@ import hashlib
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.config import PibeConfig
 from repro.hardening.harden import HardeningPass
@@ -92,10 +92,12 @@ from repro.passes.lto import (
     mergeable_pairs,
 )
 from repro.passes.manager import ModulePass, PassManager
-from repro.engine.compiled import DEFAULT_ENGINE
+from repro.engine.names import DEFAULT_ENGINE
 from repro.profiling.lifting import lift_profile
 from repro.profiling.profile_data import EdgeProfile
-from repro.workloads.base import Workload, profile_workload
+
+if TYPE_CHECKING:
+    from repro.workloads.base import Workload
 
 #: Bump to invalidate persisted prefix entries when pass behaviour changes.
 #: v2: chunked header + content-addressed function-group layout.
@@ -581,8 +583,11 @@ class PibePipeline:
 
         Profiling never mutates IR, so the profiling build is a
         copy-on-write clone; the engine programs compiled for it are
-        keyed to the clone and go with it.
+        keyed to the clone and go with it. The engine loads here, on the
+        first profile: a pipeline that only builds never runs it.
         """
+        from repro.workloads.base import profile_workload
+
         profiling_build = clone_module(self.baseline, cow=True)
         return profile_workload(
             profiling_build,

@@ -1,26 +1,33 @@
 """Microarchitectural substrate: predictors, caches, timing, attacks."""
 
-from repro.cpu.attacks import (
-    ALL_ATTACKS,
-    ATTACKER_GADGET,
-    AttackOutcome,
-    LVIAttack,
-    Ret2specAttack,
-    SpectreV2Attack,
-    attack_surface,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".attacks": (
+            "ALL_ATTACKS",
+            "ATTACKER_GADGET",
+            "AttackOutcome",
+            "LVIAttack",
+            "Ret2specAttack",
+            "SpectreV2Attack",
+            "attack_surface",
+        ),
+        ".btb": ("BTB",),
+        ".costs": ("DEFAULT_COSTS", "NONTRANSIENT_COSTS", "CostModel"),
+        ".counting": (
+            "CountingTimingModel",
+            "CountSummary",
+            "counting_cycles",
+        ),
+        ".icache": ("ICache",),
+        ".mob": ("MOB", "LoadResult"),
+        ".pht": ("PHT",),
+        ".rsb": ("RSB",),
+        ".timing": ("TimingModel", "function_footprint_bytes"),
+    },
 )
-from repro.cpu.btb import BTB
-from repro.cpu.costs import DEFAULT_COSTS, NONTRANSIENT_COSTS, CostModel
-from repro.cpu.counting import (
-    CountingTimingModel,
-    CountSummary,
-    counting_cycles,
-)
-from repro.cpu.icache import ICache
-from repro.cpu.mob import MOB, LoadResult
-from repro.cpu.pht import PHT
-from repro.cpu.rsb import RSB
-from repro.cpu.timing import TimingModel, function_footprint_bytes
 
 __all__ = [
     "ALL_ATTACKS",

@@ -13,33 +13,41 @@ paths — and therefore event and count totals — are identical across all
 three.
 """
 
-from repro.engine.behavior import (
-    LoopState,
-    branch_taken,
-    cumulative_weights,
-    expected_counts,
-    guard_probabilities,
-    pick_index,
-    residual_distribution,
-    weighted_choice,
-)
-from repro.engine.compiled import (
-    DEFAULT_ENGINE,
-    ENGINE_VERSION,
-    ENGINES,
-    CompiledInterpreter,
-    CompiledProgram,
-    compile_function,
-    compile_module,
-    compiled_program,
-    create_interpreter,
-)
-from repro.engine.interpreter import ExecutionError, ExecutionLimits, Interpreter
-from repro.engine.trace import TraceRecorder, TraceSink
-from repro.engine.vectorized import (
-    VectorizedInterpreter,
-    VectorProgram,
-    vector_program,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".behavior": (
+            "LoopState",
+            "branch_taken",
+            "cumulative_weights",
+            "expected_counts",
+            "guard_probabilities",
+            "pick_index",
+            "residual_distribution",
+            "weighted_choice",
+        ),
+        ".compiled": (
+            "CompiledInterpreter",
+            "CompiledProgram",
+            "compile_function",
+            "compile_module",
+            "compiled_program",
+            "create_interpreter",
+        ),
+        ".interpreter": ("ExecutionError", "ExecutionLimits", "Interpreter"),
+        ".names": ("DEFAULT_ENGINE", "ENGINE_VERSION"),
+        ".trace": ("TraceRecorder", "TraceSink"),
+        # The registry is read through the vectorized engine's module,
+        # which registers itself on import: ENGINES lists every engine.
+        ".vectorized": (
+            "ENGINES",
+            "VectorProgram",
+            "VectorizedInterpreter",
+            "vector_program",
+        ),
+    },
 )
 
 __all__ = [

@@ -76,6 +76,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.cpu.timing import TimingModel
 from repro.engine.behavior import LoopState, cumulative_weights, pick_index
 from repro.engine.interpreter import ExecutionError, Interpreter
+from repro.engine.names import (  # noqa: F401 — ENGINE_VERSION re-exported
+    DEFAULT_ENGINE,
+    ENGINE_VERSION,
+    KNOWN_ENGINES,
+)
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
 from repro.ir.module import Module
@@ -88,11 +93,6 @@ from repro.ir.types import (
     ATTR_VCALL,
     Opcode,
 )
-
-#: Bumped whenever engine semantics change in a way that affects emitted
-#: event streams or measured numbers. Part of every disk-cache key, so a
-#: stale ``.repro-cache/`` can never serve results from older semantics.
-ENGINE_VERSION = "engine-v3"
 
 # Step kinds (first element of a step tuple). ``defense`` is the
 # instruction's defense tag (or None) and ``vcall`` its virtual-call flag,
@@ -967,12 +967,6 @@ ENGINES = {
     "reference": Interpreter,
     "compiled": CompiledInterpreter,
 }
-
-#: Engines selectable by name even before their module is imported.
-KNOWN_ENGINES = ("reference", "compiled", "vectorized")
-
-#: Engine used when callers do not specify one.
-DEFAULT_ENGINE = "compiled"
 
 
 def create_interpreter(

@@ -33,6 +33,10 @@ from __future__ import annotations
 
 import dataclasses
 import time
+# Imported up front although only jobs > 1 builds a pool: a pool that an
+# unclosed context holds at exit is freed when this module is torn down,
+# and its cleanup needs multiprocessing still loaded (teardown runs in
+# reverse import order).
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -42,14 +46,19 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro import faults
 
-from repro.analysis.gadgets import ForwardEdgeCensus, forward_edge_census
-from repro.analysis.sizes import slab_size_bytes, text_size_bytes
-from repro.analysis.stack import StackUsageTracker
-from repro.baselines.jumpswitches import JumpSwitchParams, JumpSwitchTimingModel
 from repro.core.config import PibeConfig
 from repro.core.pipeline import (
     PREFIX_CACHE_VERSION,
@@ -57,11 +66,7 @@ from repro.core.pipeline import (
     PibePipeline,
     PrefixKey,
 )
-from repro.engine.compiled import (
-    DEFAULT_ENGINE,
-    ENGINE_VERSION,
-    create_interpreter,
-)
+from repro.engine.names import DEFAULT_ENGINE, ENGINE_VERSION
 from repro.evaluation.cache import DiskCache, cache_key
 from repro.evaluation.failures import (
     KIND_CRASH,
@@ -73,10 +78,7 @@ from repro.evaluation.failures import (
 from repro.hardening.defenses import DefenseConfig
 from repro.kernel.generator import build_kernel
 from repro.kernel.spec import DEFAULT_SPEC, KernelSpec, SmallSpec
-from repro.passes.icp import ICPReport, IndirectCallPromotion
-from repro.passes.inliner import InlineReport, PibeInliner
 from repro.profiling.profile_data import EdgeProfile
-from repro.workloads import TRAINING_WORKLOADS
 from repro.workloads.base import Benchmark, measure_benchmark
 from repro.workloads.lmbench import LMBENCH_BENCHMARKS
 from repro.workloads.macro import (
@@ -84,8 +86,16 @@ from repro.workloads.macro import (
     ThroughputResult,
     measure_throughput,
 )
-from repro.workloads.microbench import measure_all_ticks
-from repro.workloads.spec import measure_all_spec_slowdowns
+
+# What one cell alone runs (the census analyses, the stack tracker,
+# JumpSwitches, the pass reports, the microbenchmark and SPEC drivers,
+# the engine) is imported inside that cell, so a process loads only the
+# cells it computes or decodes. The names below serve annotations only.
+if TYPE_CHECKING:
+    from repro.analysis.gadgets import ForwardEdgeCensus
+    from repro.baselines.jumpswitches import JumpSwitchParams
+    from repro.passes.icp import ICPReport
+    from repro.passes.inliner import InlineReport
 
 #: Table 12's stack-depth run: each syscall, this many times.
 _STACK_SYSCALLS = ("read", "open", "fork_exit", "select_tcp")
@@ -114,6 +124,10 @@ class Census:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "Census":
+        from repro.analysis.gadgets import ForwardEdgeCensus
+        from repro.passes.icp import ICPReport
+        from repro.passes.inliner import InlineReport
+
         return cls(
             icp=None if d["icp"] is None else ICPReport(**d["icp"]),
             inline=None if d["inline"] is None else InlineReport(**d["inline"]),
@@ -140,6 +154,11 @@ CENSUS_VERSION = 1
 def census_of(build: BuildResult) -> Census:
     """A variant's :class:`Census`, from the reference analyses of its
     module and its pass reports' totals."""
+    from repro.analysis.gadgets import forward_edge_census
+    from repro.analysis.sizes import slab_size_bytes, text_size_bytes
+    from repro.passes.icp import IndirectCallPromotion
+    from repro.passes.inliner import PibeInliner
+
     module = build.module
     icp = build.reports.get(IndirectCallPromotion.name)
     return Census(
@@ -171,6 +190,9 @@ def measure_defense_costs(
     """Run Table 1's microbenchmarks for ``(label, defenses)`` pairs on the
     default engine: tick loops of ``iterations`` and SPEC-like components
     of ``spec_iterations``."""
+    from repro.workloads.microbench import measure_all_ticks
+    from repro.workloads.spec import measure_all_spec_slowdowns
+
     configs = dict(configs)
     return DefenseCosts(
         measure_all_ticks(configs, iterations=iterations),
@@ -391,6 +413,8 @@ class EvalContext:
         s = self.settings
 
         def compute() -> EdgeProfile:
+            from repro.workloads.training import TRAINING_WORKLOADS
+
             factory = TRAINING_WORKLOADS.get(workload_name)
             if factory is None:
                 raise ValueError(f"unknown workload {workload_name!r}")
@@ -956,13 +980,22 @@ class EvalContext:
     def measure_jumpswitches(
         self,
         benches: Sequence[Benchmark] = tuple(LMBENCH_BENCHMARKS),
-        params: JumpSwitchParams = JumpSwitchParams(),
+        params: Optional[JumpSwitchParams] = None,
     ) -> Dict[str, float]:
-        """JumpSwitches baseline: retpolines image, runtime promotion."""
+        """JumpSwitches baseline: retpolines image, runtime promotion
+        under ``params`` (default ``JumpSwitchParams()``)."""
+        from repro.baselines.jumpswitches import (
+            JumpSwitchParams,
+            JumpSwitchTimingModel,
+        )
+
         benches = tuple(benches)
+        params = JumpSwitchParams() if params is None else params
         s = self.settings
 
         def compute() -> Dict[str, float]:
+            from repro.engine.compiled import create_interpreter
+
             config = PibeConfig.hardened(DefenseConfig.retpolines_only())
             module = self.variant(config).module
             results: Dict[str, float] = {}
@@ -1007,6 +1040,9 @@ class EvalContext:
         s = self.settings
 
         def compute() -> float:
+            from repro.analysis.stack import StackUsageTracker
+            from repro.engine.compiled import create_interpreter
+
             tracker = StackUsageTracker()
             module = self.variant(config).module
             interpreter = create_interpreter(

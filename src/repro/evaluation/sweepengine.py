@@ -59,9 +59,9 @@ from repro.evaluation.stats import quartiles
 from repro.hardening.defenses import DefenseConfig, defense_from_name
 from repro.kernel.generator import build_kernel
 from repro.kernel.spec import DEFAULT_SPEC, SCALED_SPEC, SmallSpec
-from repro.workloads import TRAINING_WORKLOADS
 from repro.workloads.base import Benchmark
 from repro.workloads.lmbench import LMBENCH_BENCHMARKS
+from repro.workloads.training import TRAINING_WORKLOADS
 
 #: Kernel scales the grid can span (name -> spec).
 SCALE_SPECS = {

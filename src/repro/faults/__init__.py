@@ -13,22 +13,29 @@ environment variable (inline JSON or a plan-file path); the ``repro
 faults`` CLI subcommand runs a canned stress scenario.
 """
 
-from repro.faults.plan import (
-    ENV_VAR,
-    MODES,
-    FaultPlan,
-    FaultSpec,
-    default_stress_plan,
-)
-from repro.faults.runtime import (
-    CRASH_EXIT_CODE,
-    InjectedFault,
-    active_plan,
-    clear,
-    fire,
-    in_worker,
-    install,
-    mark_worker,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".plan": (
+            "ENV_VAR",
+            "MODES",
+            "FaultPlan",
+            "FaultSpec",
+            "default_stress_plan",
+        ),
+        ".runtime": (
+            "CRASH_EXIT_CODE",
+            "InjectedFault",
+            "active_plan",
+            "clear",
+            "fire",
+            "in_worker",
+            "install",
+            "mark_worker",
+        ),
+    },
 )
 
 __all__ = [

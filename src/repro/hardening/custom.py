@@ -142,8 +142,11 @@ class CustomHardeningPass(ModulePass):
             raise ValueError("forward defense must have kind='forward'")
         if backward is not None and backward.kind != "backward":
             raise ValueError("backward defense must have kind='backward'")
+        # An equal spec registered before is accepted; a different one
+        # under the same name raises rather than tag branches with a
+        # name every reader resolves to the earlier registration.
         for defense in (forward, backward):
-            if defense is not None and registered_defense(defense.name) is None:
+            if defense is not None:
                 register_defense(defense)
         self.forward = forward
         self.backward = backward

@@ -1,17 +1,34 @@
 """Miniature LLVM-like IR: the substrate PIBE's passes operate on."""
 
-from repro.ir.basicblock import BasicBlock
-from repro.ir.builder import IRBuilder, build_leaf
-from repro.ir.callgraph import CallEdge, CallGraph
-from repro.ir.clone import InlineResult, clone_function, clone_module, inline_call
-from repro.ir.fingerprint import function_fingerprint, module_fingerprint
-from repro.ir.function import Function
-from repro.ir.instruction import Instruction
-from repro.ir.module import FunctionPointerTable, Module
-from repro.ir.parser import ParseError, dump_module, parse_instruction, parse_module
-from repro.ir.printer import format_function, format_instruction, format_module
-from repro.ir.types import FunctionAttr, Opcode
-from repro.ir.validate import ValidationError, validate_module
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".basicblock": ("BasicBlock",),
+        ".builder": ("IRBuilder", "build_leaf"),
+        ".callgraph": ("CallEdge", "CallGraph"),
+        ".clone": (
+            "InlineResult",
+            "clone_function",
+            "clone_module",
+            "inline_call",
+        ),
+        ".fingerprint": ("function_fingerprint", "module_fingerprint"),
+        ".function": ("Function",),
+        ".instruction": ("Instruction",),
+        ".module": ("FunctionPointerTable", "Module"),
+        ".parser": (
+            "ParseError",
+            "dump_module",
+            "parse_instruction",
+            "parse_module",
+        ),
+        ".printer": ("format_function", "format_instruction", "format_module"),
+        ".types": ("FunctionAttr", "Opcode"),
+        ".validate": ("ValidationError", "validate_module"),
+    },
+)
 
 __all__ = [
     "BasicBlock",

@@ -16,10 +16,14 @@ cache entry of any kind.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
+from typing import List
 
 from repro.ir.function import Function
 from repro.ir.module import Module
+from repro.ir.types import Opcode
+
+#: Each opcode's text, read once: ``Opcode.value`` is a descriptor call.
+_OPCODE_TEXT = {op: op.value for op in Opcode}
 
 
 def _canon(value) -> object:
@@ -33,30 +37,39 @@ def _canon(value) -> object:
     return repr(value)
 
 
-def _function_text(func: Function) -> Iterable[str]:
-    yield (
+def _function_lines(func: Function) -> List[str]:
+    """The canonical rendering of ``func``, one line per entry."""
+    lines = [
         f"func {func.name} params={func.num_params} "
         f"frame={func.stack_frame_size} subsystem={func.subsystem} "
         f"attrs={sorted(a.value for a in func.attrs)} "
         f"entry={func.entry_label}"
-    )
+    ]
+    append = lines.append
+    opcode_text = _OPCODE_TEXT
     for label, block in func.blocks.items():
-        yield f"block {label}"
+        append(f"block {label}")
         for inst in block.instructions:
-            yield (
-                f"  {inst.opcode.value} callee={inst.callee} "
+            # Most instructions carry no attributes; ``_canon({})`` is
+            # ``()``, so they skip the call.
+            attrs = _canon(inst.attrs) if inst.attrs else ()
+            append(
+                f"  {opcode_text[inst.opcode]} callee={inst.callee} "
                 f"targets={inst.targets} args={inst.num_args} "
-                f"site={inst.site_id} attrs={_canon(inst.attrs)}"
+                f"site={inst.site_id} attrs={attrs}"
             )
+    return lines
 
 
 def function_fingerprint(func: Function) -> str:
-    """Hex SHA-256 of one function's canonical structure."""
-    digest = hashlib.sha256()
-    for line in _function_text(func):
-        digest.update(line.encode())
-        digest.update(b"\n")
-    return digest.hexdigest()
+    """Hex SHA-256 of one function's canonical structure: every line of
+    the rendering followed by a newline, joined and hashed in one
+    ``update``. The digest is the one a line-by-line hash of the same
+    text gives; one pass over the joined text is what keeps hashing a
+    whole kernel (every disk key leads with its fingerprint) cheap."""
+    lines = _function_lines(func)
+    lines.append("")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def module_fingerprint(module: Module) -> str:

@@ -7,7 +7,8 @@ indirect sites without target metadata, unreachable entry blocks.
 The actual checks live in the static-analysis rule registry
 (:mod:`repro.static.rules.structural`, rule ``structural``); this module
 keeps the original list-of-strings / raising interface on top of it so
-pass-manager validation and existing callers are unaffected.
+pass-manager validation and existing callers are unaffected. Importing it
+loads that one rule, not the rest of :mod:`repro.static`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import List
 
 from repro.ir.function import Function
 from repro.ir.module import Module
+from repro.static.rules.structural import STRUCTURAL
 
 
 class ValidationError(Exception):
@@ -30,9 +32,6 @@ class ValidationError(Exception):
 
 def validate_function(func: Function, module: Module) -> List[str]:
     """Collect (not raise) every structural error in one function."""
-    # Imported lazily: repro.static imports repro.ir.
-    from repro.static.rules.structural import STRUCTURAL
-
     return [
         d.legacy_message()
         for d in STRUCTURAL.function_diagnostics(func, module)
@@ -41,8 +40,6 @@ def validate_function(func: Function, module: Module) -> List[str]:
 
 def validate_module(module: Module) -> None:
     """Raise :class:`ValidationError` if the module is malformed."""
-    from repro.static.rules.structural import STRUCTURAL
-
     errors: List[str] = []
     for func in module:
         errors.extend(

@@ -1,13 +1,20 @@
 """Synthetic Linux-like kernel: the program PIBE optimizes and hardens."""
 
-from repro.kernel.generator import KernelStats, build_kernel, kernel_stats
-from repro.kernel.helpers import Body, define, leaf, ops_table, table_dist
-from repro.kernel.spec import (
-    DEFAULT_SPEC,
-    SCALED_SPEC,
-    KernelSpec,
-    ScaledSpec,
-    SmallSpec,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".generator": ("KernelStats", "build_kernel", "kernel_stats"),
+        ".helpers": ("Body", "define", "leaf", "ops_table", "table_dist"),
+        ".spec": (
+            "DEFAULT_SPEC",
+            "SCALED_SPEC",
+            "KernelSpec",
+            "ScaledSpec",
+            "SmallSpec",
+        ),
+    },
 )
 
 __all__ = [

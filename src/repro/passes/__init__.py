@@ -1,27 +1,39 @@
 """Optimization and transformation passes (PIBE's PGO algorithms)."""
 
-from repro.passes.default_inliner import DefaultInliner, DefaultInlineReport
-from repro.passes.icp import ICPReport, IndirectCallPromotion, PromotionRecord
-from repro.passes.inline_cost import (
-    DEFAULT_CALLEE_THRESHOLD,
-    DEFAULT_CALLER_THRESHOLD,
-    STANDARD_INSTRUCTION_COST,
-    function_cost,
-    instruction_cost,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".default_inliner": ("DefaultInliner", "DefaultInlineReport"),
+        ".icp": ("ICPReport", "IndirectCallPromotion", "PromotionRecord"),
+        ".inline_cost": (
+            "DEFAULT_CALLEE_THRESHOLD",
+            "DEFAULT_CALLER_THRESHOLD",
+            "STANDARD_INSTRUCTION_COST",
+            "function_cost",
+            "instruction_cost",
+        ),
+        ".inliner": ("InlineReport", "PibeInliner"),
+        ".jumptables": (
+            "JUMP_TABLE_MIN_CASES",
+            "LowerSwitches",
+            "SwitchLoweringReport",
+        ),
+        ".lto": (
+            "DCEReport",
+            "DeadFunctionElimination",
+            "SimplifyCFG",
+            "SimplifyCFGReport",
+        ),
+        ".manager": (
+            "FunctionPass",
+            "ModulePass",
+            "PassManager",
+            "run_pipeline",
+        ),
+    },
 )
-from repro.passes.inliner import InlineReport, PibeInliner
-from repro.passes.jumptables import (
-    JUMP_TABLE_MIN_CASES,
-    LowerSwitches,
-    SwitchLoweringReport,
-)
-from repro.passes.lto import (
-    DCEReport,
-    DeadFunctionElimination,
-    SimplifyCFG,
-    SimplifyCFGReport,
-)
-from repro.passes.manager import FunctionPass, ModulePass, PassManager, run_pipeline
 
 __all__ = [
     "DCEReport",

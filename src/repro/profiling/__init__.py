@@ -1,15 +1,22 @@
 """Profiling phase: LBR-style edge collection and profile lifting."""
 
-from repro.profiling.lbr import BranchRecord, LBRBuffer
-from repro.profiling.lifting import (
-    LiftReport,
-    clear_profile_metadata,
-    lift_profile,
-    provenance_chain,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".lbr": ("BranchRecord", "LBRBuffer"),
+        ".lifting": (
+            "LiftReport",
+            "clear_profile_metadata",
+            "lift_profile",
+            "provenance_chain",
+        ),
+        ".profile_data": ("EdgeProfile",),
+        ".profiler": ("KernelProfiler",),
+        ".sampling": ("SamplingProfiler",),
+    },
 )
-from repro.profiling.profile_data import EdgeProfile
-from repro.profiling.profiler import KernelProfiler
-from repro.profiling.sampling import SamplingProfiler
 
 __all__ = [
     "BranchRecord",

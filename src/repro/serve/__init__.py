@@ -15,14 +15,21 @@ delimited JSON requests over TCP or a unix socket.
   client`` CLI, the load-generator benchmark and the tests).
 """
 
-from repro.serve.client import ServeClient, ServeError
-from repro.serve.protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    config_from_dict,
-    config_to_dict,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".client": ("ServeClient", "ServeError"),
+        ".protocol": (
+            "PROTOCOL_VERSION",
+            "ProtocolError",
+            "config_from_dict",
+            "config_to_dict",
+        ),
+        ".server": ("ReproServer",),
+    },
 )
-from repro.serve.server import ReproServer
 
 __all__ = [
     "PROTOCOL_VERSION",

@@ -31,9 +31,9 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.core.config import PibeConfig
 from repro.hardening.defenses import DefenseConfig, NonTransientDefense
-from repro.workloads import TRAINING_WORKLOADS
 from repro.workloads.base import Benchmark
 from repro.workloads.lmbench import resolve_benches
+from repro.workloads.training import TRAINING_WORKLOADS
 
 #: Bump on incompatible wire-format changes; echoed by ``ping``.
 PROTOCOL_VERSION = 1

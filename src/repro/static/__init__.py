@@ -19,23 +19,30 @@ to raise on error-severity findings (used by ``PassManager(verify_each=)``
 at every pass boundary), and the ``repro lint`` CLI subcommand.
 """
 
-from repro.static.analyzer import (
-    AnalysisContext,
-    StaticAnalysisError,
-    StaticAnalyzer,
-    analyze_module,
-    assert_clean,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".analyzer": (
+            "AnalysisContext",
+            "StaticAnalysisError",
+            "StaticAnalyzer",
+            "analyze_module",
+            "assert_clean",
+        ),
+        ".baseline": (
+            "BASELINE_FILENAME",
+            "load_baseline",
+            "new_diagnostics",
+            "write_baseline",
+        ),
+        ".diagnostics": ("Diagnostic", "DiagnosticReport", "Severity"),
+        ".incremental": ("LINT_CACHE_VERSION", "lint_module"),
+        ".registry": ("Rule", "all_rules", "get_rule", "select_rules"),
+        ".sarif": ("to_sarif", "to_sarif_json"),
+    },
 )
-from repro.static.baseline import (
-    BASELINE_FILENAME,
-    load_baseline,
-    new_diagnostics,
-    write_baseline,
-)
-from repro.static.diagnostics import Diagnostic, DiagnosticReport, Severity
-from repro.static.incremental import LINT_CACHE_VERSION, lint_module
-from repro.static.registry import Rule, all_rules, get_rule, select_rules
-from repro.static.sarif import to_sarif, to_sarif_json
 
 __all__ = [
     "AnalysisContext",

@@ -9,6 +9,7 @@ to one family.
 
 from __future__ import annotations
 
+import importlib
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Type
 
 from repro.ir.module import Module
@@ -145,13 +146,36 @@ def register(cls: Type[Rule]) -> Type[Rule]:
     return cls
 
 
+_builtins_loaded = False
+
+
 def _ensure_loaded() -> None:
-    """Import the built-in rule modules so they self-register."""
-    from repro.static import rules  # noqa: F401  (import-for-effect)
+    """Import every built-in rule module, so each registers its rule, and
+    list the built-in rules first, in :data:`~repro.static.rules.BUILTIN`
+    order, whichever of them registered before (``repro.ir.validate``
+    loads ``structural`` alone)."""
+    global _builtins_loaded
+    if _builtins_loaded:
+        return
+    from repro.static.rules import BUILTIN
+
+    modules = [f"repro.static.rules.{name}" for name in BUILTIN]
+    for module in modules:
+        importlib.import_module(module)
+    rank = {module: i for i, module in enumerate(modules)}
+    ordered = sorted(
+        _REGISTRY.values(),
+        key=lambda rule: rank.get(type(rule).__module__, len(rank)),
+    )
+    _REGISTRY.clear()
+    _REGISTRY.update((rule.name, rule) for rule in ordered)
+    _builtins_loaded = True
 
 
 def all_rules() -> List[Rule]:
-    """Every registered rule, in registration order."""
+    """Every registered rule: the built-in ones in
+    :data:`~repro.static.rules.BUILTIN` order, then the rest in
+    registration order."""
     _ensure_loaded()
     return list(_REGISTRY.values())
 

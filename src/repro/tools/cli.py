@@ -20,7 +20,6 @@ on a dump remain valid after reloading); profiles are stored as JSON.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import sys
 from pathlib import Path
@@ -37,17 +36,17 @@ from repro.hardening.defenses import (
 )
 from repro.hardening.harden import applied_config
 from repro.ir.module import Module
-from repro.ir.parser import dump_module, parse_module
 from repro.kernel.generator import build_kernel, kernel_stats
 from repro.kernel.spec import DEFAULT_SPEC, KernelSpec, SmallSpec
 from repro.profiling.profile_data import EdgeProfile
-from repro.workloads import TRAINING_WORKLOADS
+from repro.tools.gcpolicy import use_eval_gc_policy
 from repro.workloads.base import measure_suite
 from repro.workloads.lmbench import (
     LMBENCH_BENCHMARKS,
     TABLE3_BENCHMARKS,
     resolve_benches,
 )
+from repro.workloads.training import TRAINING_WORKLOADS
 
 SUITES = {
     "lmbench": LMBENCH_BENCHMARKS,
@@ -57,6 +56,8 @@ SUITES = {
 
 def _load_kernel(args) -> Module:
     if getattr(args, "kernel", None):
+        from repro.ir.parser import parse_module
+
         text = Path(args.kernel).read_text()
         return parse_module(text)
     spec: KernelSpec = SmallSpec() if args.small else DEFAULT_SPEC
@@ -93,6 +94,8 @@ def _add_kernel_args(parser, required_file=False) -> None:
 
 def cmd_build_kernel(args) -> int:
     """Build (or load) a kernel and dump it as textual IR."""
+    from repro.ir.parser import dump_module
+
     module = _load_kernel(args)
     _write_or_print(dump_module(module), args.output)
     return 0
@@ -128,6 +131,8 @@ def cmd_profile(args) -> int:
 
 def cmd_optimize(args) -> int:
     """Optimize and harden a kernel according to the flags."""
+    from repro.ir.parser import dump_module
+
     module = _load_kernel(args)
     profile = None
     if args.profile:
@@ -158,6 +163,8 @@ def cmd_benchmark(args) -> int:
 
     baseline = None
     if args.baseline:
+        from repro.ir.parser import parse_module
+
         base_module = parse_module(Path(args.baseline).read_text())
         base_results = measure_suite(
             base_module, benches, ops_scale=args.ops_scale, engine=args.engine
@@ -298,6 +305,7 @@ def cmd_hotspots(args) -> int:
 def cmd_diff(args) -> int:
     """Structural diff between two dumped images."""
     from repro.analysis.diff import diff_modules
+    from repro.ir.parser import parse_module
 
     before = parse_module(Path(args.before).read_text())
     after = parse_module(Path(args.after).read_text())
@@ -327,7 +335,7 @@ def _eval_settings(args) -> "EvalSettings":  # noqa: F821 — local import below
 
 
 def _add_engine_arg(parser, default=None) -> None:
-    from repro.engine.compiled import KNOWN_ENGINES
+    from repro.engine.names import KNOWN_ENGINES
 
     parser.add_argument(
         "--engine",
@@ -971,30 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_client)
 
     return parser
-
-
-#: Collector thresholds for a process that runs evaluations. Such a
-#: process builds up memoized state that lives as long as it does
-#: (kernels, prefixes, variants, compiled programs), and under CPython's
-#: default ``(700, 10, 10)`` every full collection rescans all of it. On
-#: a 2-CPU x86-64 container, CPython 3.11, a cold ``full_evaluation.py``
-#: ran 11 full collections (1.36 s, 10,653 objects reclaimed) and a warm
-#: one 9 (0.78 s, 220 reclaimed). With these thresholds neither runs
-#: one, and peak RSS does not move. Under ``repro serve``'s mixed load
-#: they cut wall time per request block by ~23% but raise hot-request
-#: p99 by ~13%, so judge a retune on that p99 as well as on evaluation
-#: wall time.
-EVAL_GC_THRESHOLDS = (50_000, 20, 20)
-
-
-def use_eval_gc_policy() -> None:
-    """Install :data:`EVAL_GC_THRESHOLDS` for the whole process.
-
-    Only process entry points call this: :func:`main` run as the
-    program, and ``examples/full_evaluation.py``. Pool workers fork from
-    them and inherit the thresholds.
-    """
-    gc.set_threshold(*EVAL_GC_THRESHOLDS)
 
 
 def main(argv=None) -> int:

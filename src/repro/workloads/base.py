@@ -15,16 +15,18 @@ counting call edges on the vectorized engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from repro.cpu.costs import DEFAULT_COSTS, CostModel
-from repro.cpu.counting import CountingTimingModel
-from repro.cpu.timing import TimingModel
-from repro.engine.compiled import DEFAULT_ENGINE, create_interpreter
-from repro.engine.interpreter import ExecutionLimits, Interpreter
+from repro.engine.names import DEFAULT_ENGINE
 from repro.ir.module import Module
 from repro.profiling.profile_data import EdgeProfile
-from repro.profiling.profiler import KernelProfiler
+
+# The engine, the timing models and the profiler load in the functions
+# that run them: a process that only names benchmarks (to key a cached
+# measurement) never loads them.
+if TYPE_CHECKING:
+    from repro.engine.interpreter import Interpreter
 
 #: Nominal clock for converting cycles to wall time (Skylake-ish 3.7 GHz).
 CLOCK_HZ = 3.7e9
@@ -108,6 +110,9 @@ def timing_sink_for(
     harness bakes ``engine`` into every cache key for exactly this
     reason.
     """
+    from repro.cpu.counting import CountingTimingModel
+    from repro.cpu.timing import TimingModel
+
     if engine == "vectorized":
         return CountingTimingModel(module, costs=costs)
     return TimingModel(module, costs=costs, model_icache=model_icache)
@@ -123,6 +128,8 @@ def measure_benchmark(
     engine: str = DEFAULT_ENGINE,
 ) -> BenchResult:
     """Run one benchmark under the cycle model and report latency."""
+    from repro.engine.compiled import create_interpreter
+
     timing = timing_sink_for(
         module, engine, costs=costs, model_icache=model_icache
     )
@@ -205,6 +212,10 @@ def profile_workload(
     ``reference`` (the event-by-event oracle) collects it there. Every
     engine yields the same profile per seed.
     """
+    from repro.engine.compiled import create_interpreter
+    from repro.engine.interpreter import ExecutionLimits
+    from repro.profiling.profiler import KernelProfiler
+
     if engine == "compiled":
         engine = "vectorized"
     merged = EdgeProfile(workload=workload.name)

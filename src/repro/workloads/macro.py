@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cpu.costs import DEFAULT_COSTS, CostModel
-from repro.engine.compiled import DEFAULT_ENGINE, create_interpreter
+from repro.engine.names import DEFAULT_ENGINE
 from repro.ir.module import Module
 from repro.workloads.base import CLOCK_HZ, Benchmark, timing_sink_for
 
@@ -123,6 +123,8 @@ def measure_throughput(
     engine: str = DEFAULT_ENGINE,
 ) -> ThroughputResult:
     """Run the app model and convert cycles to units/sec throughput."""
+    from repro.engine.compiled import create_interpreter
+
     timing = timing_sink_for(module, engine, costs=costs)
     interpreter = create_interpreter(module, [timing], seed=seed, engine=engine)
     for _ in range(batches):

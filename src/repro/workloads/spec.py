@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.cpu.costs import DEFAULT_COSTS, CostModel
-from repro.cpu.timing import TimingModel
-from repro.engine.compiled import create_interpreter
 from repro.hardening.defenses import DefenseConfig
 from repro.hardening.harden import HardeningPass
 from repro.ir.clone import clone_module
@@ -124,6 +122,9 @@ def measure_spec_slowdown(
     unhardened baseline once: it maps a component name to its baseline
     cycles and is filled on first use.
     """
+    from repro.cpu.timing import TimingModel
+    from repro.engine.compiled import create_interpreter
+
     costs = dataclasses.replace(costs, kernel_entry=0.0)
     baseline_module = build_spec_module(components)
     hardened_module = clone_module(baseline_module)

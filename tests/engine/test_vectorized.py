@@ -28,6 +28,7 @@ from repro.cpu.counting import (
     CountSummary,
     counting_cycles,
 )
+from repro.engine import compiled
 from repro.engine.compiled import create_interpreter
 from repro.engine.interpreter import ExecutionError, ExecutionLimits
 from repro.engine.trace import TraceRecorder
@@ -41,7 +42,6 @@ from repro.kernel.generator import build_kernel
 from repro.kernel.spec import SCALED_SPEC, SmallSpec
 from repro.profiling.profile_data import EdgeProfile
 from repro.profiling.profiler import KernelProfiler
-from repro.workloads import base as workloads_base
 from repro.workloads.base import profile_workload
 from repro.workloads.lmbench import engine_workload, lmbench_workload
 
@@ -340,13 +340,14 @@ def test_profile_workload_routing(monkeypatch, small_kernel):
     """Profiles run on the vectorized engine unless the caller asks for
     the reference oracle, which still replays event by event."""
     engines = []
-    real = workloads_base.create_interpreter
+    real = compiled.create_interpreter
 
     def spy(*args, **kwargs):
         engines.append(kwargs["engine"])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(workloads_base, "create_interpreter", spy)
+    # profile_workload imports the engine when it runs.
+    monkeypatch.setattr(compiled, "create_interpreter", spy)
     workload = lmbench_workload(ops_scale=0.02)
     profiles = {
         engine: profile_workload(

@@ -6,8 +6,10 @@ import types
 
 import pytest
 
+from repro.analysis import stack
 from repro.baselines.jumpswitches import JumpSwitchParams
 from repro.core.config import PibeConfig
+from repro.engine import compiled
 from repro.evaluation import harness
 from repro.evaluation.harness import EvalContext, EvalSettings
 from repro.hardening.defenses import DefenseConfig, NonTransientDefense
@@ -135,13 +137,14 @@ def test_throughput_and_peak_stack_are_memoized_cells(ctx, monkeypatch):
         runs["batches"].append(kwargs["batches"])
         return measure_throughput(*args, **kwargs)
 
-    class CountingTracker(harness.StackUsageTracker):
+    class CountingTracker(stack.StackUsageTracker):
         def __init__(self):
             runs["stack"] += 1
             super().__init__()
 
     monkeypatch.setattr(harness, "measure_throughput", counting_throughput)
-    monkeypatch.setattr(harness, "StackUsageTracker", CountingTracker)
+    # The peak-stack cell imports its tracker when it runs.
+    monkeypatch.setattr(stack, "StackUsageTracker", CountingTracker)
     config = PibeConfig.hardened(DefenseConfig.lvi_only())
     first = ctx.throughput(config, NGINX, 2)
     assert ctx.throughput(config, NGINX, 2) is first
@@ -165,14 +168,15 @@ def test_peak_stack_runs_on_the_settings_engine(ctx, monkeypatch):
     from repro.engine.interpreter import Interpreter
 
     engines = []
-    create_interpreter = harness.create_interpreter
+    create_interpreter = compiled.create_interpreter
 
     def recording(*args, **kwargs):
         interpreter = create_interpreter(*args, **kwargs)
         engines.append(type(interpreter))
         return interpreter
 
-    monkeypatch.setattr(harness, "create_interpreter", recording)
+    # The peak-stack cell imports the engine when it runs.
+    monkeypatch.setattr(compiled, "create_interpreter", recording)
     config = PibeConfig.hardened(DefenseConfig.retpolines_only())
     reference = dataclasses.replace(ctx.settings, engine="reference")
     with EvalContext(reference, kernel=ctx.kernel) as oracle:

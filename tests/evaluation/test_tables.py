@@ -43,6 +43,7 @@ def test_warm_context_renders_every_experiment_from_cells(tmp_path, monkeypatch)
     import dataclasses
     import json
 
+    from repro.analysis import stack
     from repro.engine.interpreter import Interpreter
     from repro.evaluation import harness
     from repro.hardening.harden import HardeningPass
@@ -71,7 +72,7 @@ def test_warm_context_renders_every_experiment_from_cells(tmp_path, monkeypatch)
         counts["throughput"] += 1
         return measure_throughput(*args, **kwargs)
 
-    class CountingTracker(harness.StackUsageTracker):
+    class CountingTracker(stack.StackUsageTracker):
         def __init__(self):
             counts["stack"] += 1
             super().__init__()
@@ -80,7 +81,8 @@ def test_warm_context_renders_every_experiment_from_cells(tmp_path, monkeypatch)
     monkeypatch.setattr(Interpreter, "__init__", counting_init)
     monkeypatch.setattr(harness, "measure_defense_costs", counting_defense_costs)
     monkeypatch.setattr(harness, "measure_throughput", counting_throughput)
-    monkeypatch.setattr(harness, "StackUsageTracker", CountingTracker)
+    # The peak-stack cell imports its tracker when it runs.
+    monkeypatch.setattr(stack, "StackUsageTracker", CountingTracker)
     settings = dataclasses.replace(EvalSettings.fast(), cache_dir=str(tmp_path))
 
     def evaluate(kernel=None):

@@ -100,6 +100,29 @@ def test_kind_mismatch_rejected():
         CustomHardeningPass(backward=PSCFI_FWD)
 
 
+def test_custom_pass_refuses_a_conflicting_registration():
+    """A pass given a defense whose name is registered with another spec
+    raises instead of stamping a tag that the cost model and the
+    protection table resolve to the earlier spec; an equal spec is
+    accepted."""
+    both = frozenset({"spectre_v2", "lvi"})
+    register_defense(CustomDefense("x", "forward", cycles=1.0, protects=both))
+    with pytest.raises(ValueError, match="already registered"):
+        CustomHardeningPass(forward=CustomDefense("x", "forward", cycles=99.0))
+    register_defense(CustomDefense("y", "backward", cycles=1.0))
+    with pytest.raises(ValueError, match="already registered"):
+        CustomHardeningPass(backward=CustomDefense("y", "backward", cycles=2.0))
+    assert DEFAULT_COSTS.defense_cost("x") == 1.0
+    assert registered_defense("x").protects == both
+
+    module = _module()
+    CustomHardeningPass(
+        forward=CustomDefense("x", "forward", cycles=1.0, protects=both)
+    ).run(module)
+    icall = next(i for i in module.get("f").call_sites())
+    assert icall.defense == "x"
+
+
 def test_attack_census_respects_custom_protection():
     module = _module()
     CustomHardeningPass(forward=PSCFI_FWD, backward=PSCFI_RET).run(module)

@@ -1,6 +1,7 @@
 """Module fingerprints: cache keys for profiles, prefixes and
 measurements."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,13 +9,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.config import PibeConfig
+from repro.hardening.defenses import DefenseConfig
 from repro.ir.builder import IRBuilder
 from repro.ir.clone import clone_module
 from repro.ir.fingerprint import function_fingerprint, module_fingerprint
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.kernel.generator import build_kernel
-from repro.kernel.spec import SmallSpec
+from repro.kernel.spec import DEFAULT_SPEC, SmallSpec
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -102,3 +105,79 @@ def test_function_fingerprint_differs_between_functions():
     assert function_fingerprint(module.get("f")) != function_fingerprint(
         module.get("g")
     )
+
+
+def _canon(value):
+    if isinstance(value, dict):
+        return tuple(sorted((k, _canon(v)) for k, v in value.items()))
+    if isinstance(value, (list, tuple)):
+        return tuple(_canon(v) for v in value)
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    return repr(value)
+
+
+def _line_by_line_fingerprint(func):
+    """The reference digest: the canonical rendering hashed one line at
+    a time, each line then a newline, as ``function_fingerprint`` did
+    before it hashed the joined text in one ``update``."""
+    digest = hashlib.sha256()
+
+    def line(text):
+        digest.update(text.encode())
+        digest.update(b"\n")
+
+    line(
+        f"func {func.name} params={func.num_params} "
+        f"frame={func.stack_frame_size} subsystem={func.subsystem} "
+        f"attrs={sorted(a.value for a in func.attrs)} "
+        f"entry={func.entry_label}"
+    )
+    for label, block in func.blocks.items():
+        line(f"block {label}")
+        for inst in block.instructions:
+            line(
+                f"  {inst.opcode.value} callee={inst.callee} "
+                f"targets={inst.targets} args={inst.num_args} "
+                f"site={inst.site_id} attrs={_canon(inst.attrs)}"
+            )
+    return digest.hexdigest()
+
+
+def _assert_reference_digests(module):
+    moved = [
+        name
+        for name, func in module.functions.items()
+        if function_fingerprint(func) != _line_by_line_fingerprint(func)
+    ]
+    assert not moved, moved[:5]
+
+
+def test_one_pass_fingerprint_matches_line_by_line_on_default_kernel():
+    _assert_reference_digests(build_kernel(DEFAULT_SPEC))
+
+
+def test_one_pass_fingerprint_matches_line_by_line_on_staged_variant(
+    small_pipeline, small_profile
+):
+    """A hardened staged variant: its attrs hold dicts (icall targets),
+    lists of tuples (value profiles), floats and defense tags."""
+    module = small_pipeline.build_variant(
+        PibeConfig.lax(DefenseConfig.all_defenses()), small_profile
+    ).module
+    kinds = {
+        type(value)
+        for func in module
+        for inst in func.instructions()
+        for value in inst.attrs.values()
+    }
+    assert {dict, list, float, str} <= kinds
+    assert any(
+        type(entry) is tuple
+        for func in module
+        for inst in func.instructions()
+        for value in inst.attrs.values()
+        if type(value) is list
+        for entry in value
+    )
+    _assert_reference_digests(module)

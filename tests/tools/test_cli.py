@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from repro.tools.cli import EVAL_GC_THRESHOLDS, build_parser, main
+from repro.tools.cli import build_parser, main
+from repro.tools.gcpolicy import EVAL_GC_THRESHOLDS
 
 
 @pytest.fixture(scope="module")

@@ -65,6 +65,7 @@ def test_geomean_slowdown_math():
 def test_all_spec_slowdowns_measure_each_baseline_once(monkeypatch):
     """``measure_all_spec_slowdowns`` runs each component's unhardened
     baseline once; the result equals per-config fresh measurements."""
+    from repro.cpu import timing
     from repro.workloads import spec
 
     configs = {
@@ -77,12 +78,13 @@ def test_all_spec_slowdowns_measure_each_baseline_once(monkeypatch):
     }
     models = []
 
-    class CountingModel(spec.TimingModel):
+    class CountingModel(timing.TimingModel):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             models.append(self)
 
-    monkeypatch.setattr(spec, "TimingModel", CountingModel)
+    # The SPEC driver imports its timing model when it runs.
+    monkeypatch.setattr(timing, "TimingModel", CountingModel)
     assert spec.measure_all_spec_slowdowns(configs, iterations=4) == fresh
     # one baseline per component plus one hardened run per (config, comp)
     assert len(models) == len(SPEC_COMPONENTS) * (1 + len(configs))
